@@ -1,14 +1,37 @@
 """Exact homological algebra on the covering Delta-complex.
 
 Everything here is combinatorial and runs over exact rationals regardless of
-the surface's scalar mode: boundary matrices, absolute and relative H_1 of
-the cover, the involution action and its (-1)-eigenspaces, the intersection
-matrix J on the anti-invariant absolute homology, and the wedge pairing
+the surface's scalar mode: absolute and relative H_1 of the cover, the
+involution action and its (-1)-eigenspaces, the intersection matrix J on the
+anti-invariant absolute homology, and the wedge pairing
 
     wedge(x, y) = -x^T J^{-1} y
 
 on period vectors, normalized so that sqrt(-1) * wedge(u, conj(u)) = 4*area
 for the period vector u of the abelian differential upstairs.
+
+H_1 bases come from a tree-cotree decomposition (Eppstein, SODA 2003;
+Erickson-Whittlesey, SODA 2005), built with union-find on integers:
+
+* A spanning forest T of the 1-skeleton, taken greedily in ascending
+  edge-rep index.  For H_1 relative to Sigma_ub every Sigma_ub vertex is
+  first identified with one ground node.  These are exactly the pivot
+  columns of rref(d1) (of d1 with the Sigma_ub rows deleted), and the
+  nullspace vector of each free column f is the fundamental cycle z_f of f
+  in T, with coefficient +1 on f.
+* A cycle is determined by its coefficients on the non-tree edges N, and a
+  triangle boundary restricted to N is the coboundary of the dual graph on
+  N.  So adding z_f (ascending f) to the span of the triangle boundaries and
+  the z's kept so far enlarges it exactly when f is not a bridge of the dual
+  graph on the edges of N not yet kept.  The rejected edges R therefore form
+  the dual spanning forest built greedily in *descending* rep index, and
+  the kept edges K = N - R index the basis {z_k}.  This is the basis the
+  greedy row reduction (boundaries first, then the z_f) would choose.
+* To express a cycle c, walk each cotree from its root triangle and pick
+  the 2-chain a with (c - da)(g) = 0 on every cotree edge g; then
+  c - da = sum over k in K of (c - da)(k) z_k.  Homology coordinates are
+  unique, so this is the solution any exact solver returns, found in linear
+  time.
 
 The independent oracle for the wedge is the antisymmetrized simplicial cup
 product.  Cochains are transferred to the barycentric subdivision of the
@@ -38,12 +61,10 @@ from .errors import (
 from .exact import (
     QC,
     QC_I,
-    conj,
     is_zero,
     mat_inverse,
     nullspace,
-    rank,
-    solve,
+    rref,
 )
 
 F0 = Fraction(0)
@@ -76,6 +97,116 @@ class _Reducer:
         return True
 
 
+def _find(parent, x):
+    """Union-find root of x; roots are the nodes absent from ``parent``."""
+    while x in parent:
+        up = parent[x]
+        if up in parent:
+            parent[x] = parent[up]
+        x = up
+    return x
+
+
+def _root_forest(adjacency, nodes):
+    """Parent links of a forest given as node -> [(neighbour, edge), ...],
+    rooted at the first node (in ``nodes`` order) of each component.
+    Returns [(child, parent, edge), ...] with every parent before its child."""
+    seen = set()
+    links = []
+    for root in nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            p = stack.pop()
+            for q, i in adjacency.get(p, ()):
+                if q not in seen:
+                    seen.add(q)
+                    links.append((q, p, i))
+                    stack.append(q)
+    return links
+
+
+class _CycleBasis:
+    """H_1 basis of the cover from a spanning forest and a dual cotree.
+
+    ``node`` maps each cover vertex to its node of the 1-skeleton: the
+    identity for absolute homology, Sigma_ub collapsed to one ground node
+    for homology relative to Sigma_ub.  ``ends[i]`` is (tail, head) of edge
+    rep i and ``sides[i]`` the triangles holding it with boundary
+    coefficient +1 and -1.
+    """
+
+    def __init__(self, node, ends, sides, ntri):
+        self._node = node
+        self._ends = ends
+        self._sides = sides
+        nr = len(ends)
+
+        # spanning forest, greedy in ascending rep index
+        parent = {}
+        tree_adj = {}
+        nontree = []
+        for i, (u, v) in enumerate(ends):
+            a, b = _find(parent, node[u]), _find(parent, node[v])
+            if a == b:
+                nontree.append(i)
+                continue
+            parent[a] = b
+            tree_adj.setdefault(node[u], []).append((node[v], i))
+            tree_adj.setdefault(node[v], []).append((node[u], i))
+        # up[n] = (parent node, edge, sign): the step n -> parent is sign * edge
+        up = {}
+        for child, par, i in _root_forest(tree_adj, sorted(set(node.values()))):
+            up[child] = (par, i, 1 if node[ends[i][0]] == child else -1)
+
+        # dual cotree on the non-tree edges, greedy in descending rep index
+        parent = {}
+        cotree_adj = {}
+        kept = []
+        for g in reversed(nontree):
+            tp, tm = sides[g]
+            a, b = _find(parent, tp), _find(parent, tm)
+            if a == b:
+                kept.append(g)
+                continue
+            parent[a] = b
+            cotree_adj.setdefault(tp, []).append((tm, g))
+            cotree_adj.setdefault(tm, []).append((tp, g))
+        self._kept = kept[::-1]
+        # a[child] = a[parent] + sign * c[g] makes (c - da)(g) vanish
+        self._peel = [(t, p, g, 1 if sides[g][0] == t else -1)
+                      for t, p, g in _root_forest(cotree_adj, range(ntri))]
+        self._ntri = ntri
+
+        self.basis = []
+        for f in self._kept:
+            z = [F0] * nr
+            z[f] = F1
+            for n, sg in ((node[ends[f][1]], 1), (node[ends[f][0]], -1)):
+                while n in up:
+                    n, i, step = up[n]
+                    z[i] += sg * step
+            self.basis.append(z)
+
+    def coords(self, cyc):
+        """Coordinates of a 1-cycle on :attr:`basis`, modulo boundaries."""
+        bd = {}
+        for i, x in enumerate(cyc):
+            if x:
+                u, v = self._ends[i]
+                bd[self._node[v]] = bd.get(self._node[v], F0) + x
+                bd[self._node[u]] = bd.get(self._node[u], F0) - x
+        if any(bd.values()):
+            raise InconsistentFunctional("vector is not a cycle of this complex")
+        a = [F0] * self._ntri
+        for t, p, g, sg in self._peel:
+            a[t] = a[p] + sg * cyc[g]
+        return [cyc[k] - (a[self._sides[k][0]] - a[self._sides[k][1]])
+                for k in self._kept]
+
+
 class HomologyData:
     """Chain-level data of a double cover; immutable after construction."""
 
@@ -97,27 +228,16 @@ class HomologyData:
         self.rep_index = rep_index
 
         self.vertices = c.vertices()
-        self._vert_index = {v: i for i, v in enumerate(self.vertices)}
-        nr, nv, nt = len(reps), len(self.vertices), len(c.triangles)
+        nr, nt = len(reps), len(c.triangles)
 
-        # boundary matrices over Q
-        self.d2 = [[F0] * nt for _ in range(nr)]
+        self._boundaries = [[F0] * nr for _ in range(nt)]
         for t in range(nt):
             for f in c.triangles[t]:
                 i, sg = self._chain(f)
-                self.d2[i][t] += sg
-        self.d1 = [[F0] * nr for _ in range(nv)]
-        for i, r in enumerate(reps):
-            tail = c.vertex_at_tail(r)
-            head = c.vertex_at_head(r)
-            self.d1[self._vert_index[head]][i] += 1
-            self.d1[self._vert_index[tail]][i] -= 1
+                self._boundaries[t][i] += sg
 
         lifted = cover.lifted_sigma()
         self.sigma_ub_vertices = sorted(lifted["sigma_ub"])
-        keep = [i for i, v in enumerate(self.vertices)
-                if v not in lifted["sigma_ub"]]
-        self.d1_rel = [self.d1[i] for i in keep]
 
         # involution as a signed permutation on edge reps
         self._iota_edge = []
@@ -125,29 +245,31 @@ class HomologyData:
             i, sg = self._chain(cover.involution_edge(r))
             self._iota_edge.append((i, sg))
 
-        self._boundaries = [[self.d2[i][t] for i in range(nr)] for t in range(nt)]
+        ends = [(c.vertex_at_tail(r), c.vertex_at_head(r)) for r in reps]
+        sides = [(c.triangle_of(r), c.triangle_of(c.glue[r])) for r in reps]
+        ground = min(self.sigma_ub_vertices, default=None)
+        self._abs_h1 = _CycleBasis({v: v for v in self.vertices}, ends, sides, nt)
+        self._rel_h1 = _CycleBasis(
+            {v: ground if v in lifted["sigma_ub"] else v for v in self.vertices},
+            ends, sides, nt)
+        self.abs_basis = self._abs_h1.basis
+        self.rel_basis = self._rel_h1.basis
 
-        self.abs_basis = self._homology_basis(self.d1)
-        self.rel_basis = self._homology_basis(self.d1_rel)
-
-        self.iota_abs = self._iota_star(self.abs_basis, self._express_abs)
-        self.iota_rel = self._iota_star(self.rel_basis, self._express_rel)
+        self.iota_abs = self._iota_star(self._abs_h1)
+        self.iota_rel = self._iota_star(self._rel_h1)
 
         self.abs_minus_basis = self._minus_basis(self.abs_basis, self.iota_abs)
         self.rel_minus_basis = self._minus_basis(self.rel_basis, self.iota_rel)
 
         self.comparison = self._comparison_map()
 
-        self._dual_cocycles = [
-            self.cocycle_functional(
-                [F1 if j == i else F0 for j in range(len(self.abs_minus_basis))],
-                space="absolute")
-            for i in range(len(self.abs_minus_basis))
-        ]
         m = len(self.abs_minus_basis)
-        G = [[self.cup_product_pairing(self._dual_cocycles[i],
-                                       self._dual_cocycles[j])
-              for j in range(m)] for i in range(m)]
+        self._dual_cocycles = self._anti_invariant_cochains(
+            self.abs_minus_basis,
+            [[F1 if j == i else F0 for j in range(m)] for i in range(m)])
+        U = [[self.cup_product_pairing(a, b, antisymmetrize=False)
+              for b in self._dual_cocycles] for a in self._dual_cocycles]
+        G = [[(U[i][j] - U[j][i]) / 2 for j in range(m)] for i in range(m)]
         for i in range(m):
             for j in range(m):
                 if G[i][j] != -G[j][i]:
@@ -167,10 +289,6 @@ class HomologyData:
         r = min(directed_edge, f)
         return self.rep_index[r], (1 if directed_edge == r else -1)
 
-    def chain_coeff(self, vec, directed_edge):
-        i, sg = self._chain(directed_edge)
-        return sg * vec[i]
-
     def iota_chain(self, vec):
         """Push a 1-chain (rep coordinates) through the involution."""
         out = [F0] * len(self.reps)
@@ -182,35 +300,9 @@ class HomologyData:
         return out
 
     # -- homology bases ---------------------------------------------------------
-    def _homology_basis(self, d1):
-        red = _Reducer(len(self.reps))
-        for b in self._boundaries:
-            red.try_add(b)
-        basis = []
-        for z in nullspace(d1, ncols=len(self.reps)):
-            if red.try_add(z):
-                basis.append(z)
-        return basis
-
-    def _express(self, basis, cyc):
-        """Homology coordinates of a cycle w.r.t. (boundaries | basis)."""
-        cols = self._boundaries + basis
-        nr = len(self.reps)
-        A = [[cols[k][r] for k in range(len(cols))] for r in range(nr)]
-        x = solve(A, list(cyc))
-        if x is None:
-            raise InconsistentFunctional("vector is not a cycle of this complex")
-        return x[len(self._boundaries):]
-
-    def _express_abs(self, cyc):
-        return self._express(self.abs_basis, cyc)
-
-    def _express_rel(self, cyc):
-        return self._express(self.rel_basis, cyc)
-
-    def _iota_star(self, basis, express):
-        cols = [express(self.iota_chain(b)) for b in basis]
-        n = len(basis)
+    def _iota_star(self, h1):
+        cols = [h1.coords(self.iota_chain(b)) for b in h1.basis]
+        n = len(h1.basis)
         m = [[cols[j][i] for j in range(n)] for i in range(n)]
         # involutivity check: iota*^2 = id
         for i in range(n):
@@ -239,16 +331,17 @@ class HomologyData:
 
     def _comparison_map(self):
         """Columns: relative-minus coordinates of each absolute-minus basis cycle."""
-        cols = []
-        relcols = self._boundaries + self.rel_minus_basis
-        nr = len(self.reps)
-        A = [[relcols[k][r] for k in range(len(relcols))] for r in range(nr)]
-        for c in self.abs_minus_basis:
-            x = solve(A, list(c))
-            if x is None:
-                raise InconsistentFunctional("comparison map undefined")
-            cols.append(x[len(self._boundaries):])
-        return cols  # cols[i][j]: coeff of rel_minus_j in abs_minus_i
+        if not self.abs_minus_basis:
+            return []
+        # one elimination of [relative-minus | absolute-minus] in relative coordinates
+        rel = [self._rel_h1.coords(c) for c in self.rel_minus_basis]
+        absm = [self._rel_h1.coords(c) for c in self.abs_minus_basis]
+        m = len(rel)
+        R, pivots = rref([[x[r] for x in rel + absm]
+                          for r in range(len(self.rel_basis))])
+        if pivots != list(range(m)):
+            raise InconsistentFunctional("comparison map undefined")
+        return [[R[j][m + i] for j in range(m)] for i in range(len(absm))]
 
     def _make_tag(self):
         base = self.cover.base
@@ -321,9 +414,14 @@ class HomologyData:
         complement (greedy lowest-index pair variables), mirroring the
         spanning-forest normalization.  Returns values per edge rep (a dict).
         """
+        return self._anti_invariant_cochains(cycles, [values])[0]
+
+    def _anti_invariant_cochains(self, cycles, value_sets):
+        """:meth:`anti_invariant_cochain` for several value lists of equal
+        length, sharing one elimination."""
         pairs, coeff = self._pair_structure()
         npair = len(pairs)
-        rows, rhs = [], []
+        rows = []
         seen_tris = set()
         for t in range(len(self.csurf.triangles)):
             if t in seen_tris:
@@ -331,13 +429,9 @@ class HomologyData:
             seen_tris.add(t)
             seen_tris.add(self.cover.involution_triangle(t))
             rows.append(self._cochain_row(self._boundaries[t]))
-            rhs.append(None)  # zero of the value field, fixed below
         ncons = len(rows)
-        for z, val in zip(cycles, values):
-            rows.append(self._cochain_row(z))
-            rhs.append(val)
-        zero = values[0] * 0 if len(values) else F0
-        rhs = [zero if v is None else v for v in rhs]
+        nval = min([len(cycles)] + [len(v) for v in value_sets])
+        rows += [self._cochain_row(z) for z in cycles[:nval]]
         # complete to full column rank with unit rows (deterministic forest)
         red = _Reducer(npair)
         for r in rows:
@@ -347,14 +441,21 @@ class HomologyData:
             unit[k] = F1
             if red.try_add(unit):
                 rows.append(unit)
-                rhs.append(zero)
-        w = solve(rows, rhs)
-        if w is None:
+        # right-hand sides: the values on the cycle rows, zero elsewhere
+        rhs = []
+        for values in value_sets:
+            zero = values[0] * 0 if len(values) else F0
+            rhs.append([zero] * ncons + list(values[:nval])
+                       + [zero] * (len(rows) - ncons - nval))
+        R, pivots = rref([row + [b[r] for b in rhs] for r, row in enumerate(rows)])
+        if len(pivots) > npair:
             raise InconsistentFunctional("no closed cochain matches the functional")
-        out = {}
-        for i in range(len(self.reps)):
-            pos, fac = coeff[i]
-            out[i] = fac * w[pos]
+        out = []
+        for j in range(len(rhs)):
+            out.append({})
+            for i in range(len(self.reps)):
+                pos, fac = coeff[i]
+                out[j][i] = fac * R[pos][npair + j]
         return out
 
     def cocycle_functional(self, values, space="absolute"):

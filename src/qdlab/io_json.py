@@ -21,6 +21,7 @@ round trips are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import InputFormatError
@@ -45,7 +46,13 @@ def _scalar_from_json(obj, mode):
             return QC(Fraction(str(re)), Fraction(str(im)))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"bad rational in {obj!r}") from exc
-    return complex(float(re), float(im))
+    try:
+        z = complex(float(re), float(im))
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad decimal in {obj!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InputFormatError(f"non-finite edge vector {obj!r}")
+    return z
 
 
 def surface_to_dict(s: FlatSurface):
@@ -77,6 +84,8 @@ def surface_from_dict(raw) -> FlatSurface:
         triangles = [tuple(int(e) for e in t) for t in raw["triangles"]]
         if any(len(t) != 3 for t in triangles):
             raise InputFormatError("each triangle needs exactly three edges")
+        if not isinstance(raw["edges"], dict):
+            raise InputFormatError("\"edges\" must be a JSON object")
         edges = {int(k): _scalar_from_json(v, mode) for k, v in raw["edges"].items()}
         gluings = [(int(a), int(b), int(sg)) for a, b, sg in raw["gluings"]]
         marked = [int(v) for v in raw.get("marked", [])]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import MismatchedType
+from .errors import InconsistentSymbol, MismatchedType
 from .surface import StratumSymbol, make_symbol, stratum_dim
 
 
@@ -168,7 +168,7 @@ def _single_moves(state, g):
             try:
                 if _state_dim(cand, g) < _state_dim(state, g):
                     out.add(cand)
-            except Exception:
+            except InconsistentSymbol:
                 continue
     return out
 

@@ -21,7 +21,7 @@ from .builders import (
 from .cover import build_cover
 from .deformation import affine_deform, geodesic_flow
 from .delaunay import delaunayize, is_delaunay
-from .errors import TriangleFlip
+from .errors import InconsistentFunctional, TriangleFlip
 from .exact import QC, QC_I
 from .homology import homology_data, wedge, wedge_cup_oracle
 from .levi import (
@@ -333,7 +333,7 @@ def check_thurston(seed=19, pairs_per_surface=100):
             try:
                 t1 = thurston_pairing(h, x, y)
                 consistent += 1
-            except Exception:
+            except InconsistentFunctional:
                 continue
             if thurston_pairing(h, x, x) != 0 or thurston_pairing(h, y, y) != 0:
                 bilinear = False

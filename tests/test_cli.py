@@ -1,6 +1,9 @@
 """CLI end-to-end: exit codes, round trips, determinism."""
 
 import json
+from fractions import Fraction
+
+import pytest
 
 from qdlab.builders import bundled_surface_path
 from qdlab.cli import main
@@ -48,6 +51,36 @@ def test_malformed_surface_exit_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] in ("ClosureViolation", "GluingMismatch")
+
+
+def _build_raw(tmp_path, raw):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(raw))
+    return run(["build", str(path), "--out", str(tmp_path / "out.json")])
+
+
+def _pillowcase_float():
+    raw = json.loads(bundled_surface_path("pillowcase").read_text())
+    raw["mode"] = "float"
+    raw["edges"] = {k: {"re": repr(float(Fraction(v["re"]))),
+                        "im": repr(float(Fraction(v["im"])))}
+                    for k, v in raw["edges"].items()}
+    return raw
+
+
+@pytest.mark.parametrize("spoil", ["edges_list", "nan", "inf"])
+def test_bad_input_exit_2_json_error(tmp_path, capsys, spoil):
+    raw = _pillowcase_float()
+    assert _build_raw(tmp_path, raw) == 0
+    capsys.readouterr()
+    if spoil == "edges_list":
+        raw["edges"] = list(raw["edges"].values())
+    else:
+        raw["edges"]["0"] = {"re": spoil, "im": "0"}
+    assert _build_raw(tmp_path, raw) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "InputFormatError"
 
 
 def test_cover_homology_periods_pipeline(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from qdlab.builders import bundled_names, bundled_surface
 from qdlab.cover import build_cover
-from qdlab.errors import BasisMismatch
+from qdlab.errors import BasisMismatch, InconsistentFunctional
 from qdlab.exact import QC, QC_I
 from qdlab.homology import (
     cocycle_representative,
@@ -193,3 +193,137 @@ def test_minus_basis_chainlevel_antiinvariant():
         for v in h.abs_minus_basis + h.rel_minus_basis:
             iv = h.iota_chain(v)
             assert all(a == -b for a, b in zip(v, iv))
+
+
+# -- oracle: the dense row-reduction kernel, one exact solve per cycle --------
+
+def _oracle(h):
+    """HomologyData's public outputs rebuilt by dense Fraction elimination:
+    nullspace of d1, greedy reduction modulo triangle boundaries, and
+    ``exact.solve`` for every expressed cycle.  Of ``h`` only the cover, the
+    cochain lift and the cup product are used."""
+    import hashlib
+    import json
+
+    from qdlab.exact import mat_inverse, nullspace, solve
+
+    cover = h.cover
+    c = cover.cover_surface
+    reps = sorted({min(e, c.glue[e]) for e in c.edges()})
+    index = {r: i for i, r in enumerate(reps)}
+    nr = len(reps)
+
+    def chain(e):
+        r = min(e, c.glue[e])
+        return index[r], (1 if e == r else -1)
+
+    bounds = []
+    for tri in c.triangles:
+        b = [Fraction(0)] * nr
+        for e in tri:
+            i, sg = chain(e)
+            b[i] += sg
+        bounds.append(b)
+    verts = c.vertices()
+    d1 = [[Fraction(0)] * nr for _ in verts]
+    for i, r in enumerate(reps):
+        d1[verts.index(c.vertex_at_head(r))][i] += 1
+        d1[verts.index(c.vertex_at_tail(r))][i] -= 1
+    ub = cover.lifted_sigma()["sigma_ub"]
+    d1_rel = [row for v, row in zip(verts, d1) if v not in ub]
+    iota_edge = [chain(cover.involution_edge(r)) for r in reps]
+
+    def iota(vec):
+        out = [Fraction(0)] * nr
+        for i, x in enumerate(vec):
+            j, sg = iota_edge[i]
+            out[j] += sg * x
+        return out
+
+    def basis_of(d):
+        echelon = {}  # pivot column -> row with 1 there
+
+        def independent(v):
+            for p, row in sorted(echelon.items()):
+                if v[p]:
+                    v = [a - v[p] * b for a, b in zip(v, row)]
+            p = next((k for k, x in enumerate(v) if x), None)
+            if p is not None:
+                echelon[p] = [x / v[p] for x in v]
+            return p is not None
+
+        for b in bounds:
+            independent(b)
+        return [z for z in nullspace(d, ncols=nr) if independent(z)]
+
+    def express(basis, cyc):
+        cols = bounds + basis
+        x = solve([[col[r] for col in cols] for r in range(nr)], list(cyc))
+        if x is None:
+            raise InconsistentFunctional("not a cycle")
+        return x[len(bounds):]
+
+    def minus(basis):
+        n = len(basis)
+        cols = [express(basis, iota(b)) for b in basis]
+        io = [[cols[j][i] for j in range(n)] for i in range(n)]
+        out = []
+        for k in nullspace([[io[i][j] + (i == j) for j in range(n)]
+                            for i in range(n)]):
+            cyc = [sum((k[j] * b[r] for j, b in enumerate(basis)), Fraction(0))
+                   for r in range(nr)]
+            out.append([(a - b) / 2 for a, b in zip(cyc, iota(cyc))])
+        return io, out
+
+    o = {"abs_basis": basis_of(d1), "rel_basis": basis_of(d1_rel)}
+    o["iota_abs"], o["abs_minus_basis"] = minus(o["abs_basis"])
+    o["iota_rel"], o["rel_minus_basis"] = minus(o["rel_basis"])
+    o["comparison"] = [express(o["rel_minus_basis"], z)
+                       for z in o["abs_minus_basis"]]
+    m = len(o["abs_minus_basis"])
+    duals = [h.anti_invariant_cochain(o["abs_minus_basis"],
+                                      [Fraction(int(i == j)) for j in range(m)])
+             for i in range(m)]
+    G = [[h.cup_product_pairing(a, b) for b in duals] for a in duals]
+    o["J"] = [[-x for x in row] for row in mat_inverse(G)] if m else []
+    o["Jinv"] = [[-x for x in row] for row in G]
+    base = cover.base
+    payload = {
+        "triangles": [list(t) for t in base.triangles],
+        "gluings": sorted((min(e, f), max(e, f), base.sign[e])
+                          for e, f in base.glue.items()),
+        "marked": sorted(base.marked),
+        "sigma_ub": sorted(ub),
+        "mode": base.mode,
+    }
+    o["basis_tag"] = "hom1-" + hashlib.sha1(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    o["d1"], o["d1_rel"] = d1, d1_rel
+    return o
+
+
+@pytest.mark.parametrize("name", bundled_names())
+@pytest.mark.parametrize("flip_seed", [None, 0, 1, 2, 3, 4])
+def test_forest_cotree_kernel_matches_elimination_oracle(name, flip_seed):
+    from qdlab.builders import random_flip_variant
+
+    surf = bundled_surface(name)
+    if flip_seed is not None:
+        rng = random.Random(flip_seed)
+        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
+    h = homology_data(build_cover(surf))
+    o = _oracle(h)
+    for field in ("abs_basis", "rel_basis", "iota_abs", "iota_rel",
+                  "abs_minus_basis", "rel_minus_basis", "comparison", "J",
+                  "Jinv"):
+        got = getattr(h, field)
+        assert got == o[field], field
+        assert all(type(x) is Fraction for row in got for x in row), field
+    assert h.basis_tag == o["basis_tag"]
+    # a single edge with distinct end nodes is not a (relative) cycle
+    for h1, d in ((h._abs_h1, o["d1"]), (h._rel_h1, o["d1_rel"])):
+        for i in range(len(h.reps)):
+            if any(row[i] for row in d):
+                chain = [Fraction(int(j == i)) for j in range(len(h.reps))]
+                with pytest.raises(InconsistentFunctional):
+                    h1.coords(chain)
