@@ -24,7 +24,7 @@ from .homology import homology_data
 from .io_json import (
     dump_json,
     load_json,
-    load_surface,
+    surface_from_dict,
     surface_to_dict,
     vector_from_dict,
     vector_to_dict,
@@ -35,13 +35,17 @@ from .strata import SymbolPoset
 from .surface import area, stratum_dim, symbol
 
 
-def _load_surface_arg(path, mode=None):
+def _load_json_arg(path):
     try:
-        s = load_surface(path)
+        return load_json(path)
     except FileNotFoundError as exc:
         raise InputFormatError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _load_surface_arg(path, mode=None):
+    s = surface_from_dict(_load_json_arg(path))
     if mode and mode != s.mode:
         if mode == "float":
             return s.to_float()
@@ -50,11 +54,10 @@ def _load_surface_arg(path, mode=None):
 
 
 def _load_cover_arg(path):
+    raw = _load_json_arg(path)
     try:
-        return cover_from_dict(load_json(path))
-    except FileNotFoundError as exc:
-        raise InputFormatError(f"no such file: {path}") from exc
-    except (KeyError, json.JSONDecodeError) as exc:
+        return cover_from_dict(raw)
+    except KeyError as exc:
         raise InputFormatError(f"bad cover file {path}: {exc}") from exc
 
 
@@ -155,7 +158,9 @@ def cmd_periods(args):
     c = _load_cover_arg(args.cover)
     h = homology_data(c)
     if args.hom:
-        hom_info = load_json(args.hom)
+        hom_info = _load_json_arg(args.hom)
+        if not isinstance(hom_info, dict):
+            raise InputFormatError("homology file must be a JSON object")
         if hom_info.get("basis_tag") not in (None, h.basis_tag):
             raise InputFormatError("homology file does not match the cover")
     pv = period_map(c, h)
@@ -176,7 +181,7 @@ def cmd_deform(args):
 
     c = _load_cover_arg(args.cover)
     h = homology_data(c)
-    v = vector_from_dict(load_json(args.v))
+    v = vector_from_dict(_load_json_arg(args.v))
     if v.basis_tag != h.basis_tag:
         raise InputFormatError("deformation vector bound to a different basis")
     c2 = affine_deform(c, h, v)

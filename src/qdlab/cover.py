@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SurfaceError
+from .errors import InputFormatError, SurfaceError
 from .surface import FlatSurface
 
 
@@ -137,12 +137,6 @@ class DoubleCover:
     def involution_edge(self, cover_edge):
         return cover_edge ^ 1
 
-    def lift_triangle(self, base_tri, sheet):
-        return self._tri_lift[(base_tri, sheet)]
-
-    def project_triangle(self, cover_tri):
-        return self._tri_info[cover_tri]
-
     def involution_triangle(self, cover_tri):
         ti, sheet = self._tri_info[cover_tri]
         return self._tri_lift[(ti, sheet ^ 1)]
@@ -150,10 +144,6 @@ class DoubleCover:
     def involution_vertex(self, cover_vertex):
         c = self.cover_surface
         return c.vertex_at_tail(self.involution_edge(cover_vertex))
-
-    def project_vertex(self, cover_vertex):
-        e, _ = self.project_edge(cover_vertex)
-        return self.base.vertex_at_tail(e)
 
     def vertex_fiber(self, base_vertex):
         return tuple(sorted(self._vertex_fiber.get(base_vertex, ())))
@@ -227,4 +217,7 @@ def cover_from_dict(raw) -> DoubleCover:
     """Rebuild a cover from its JSON form (reconstructs from the base)."""
     from .io_json import surface_from_dict
 
+    if not isinstance(raw, dict) or "base" not in raw:
+        raise InputFormatError("cover description must be a JSON object "
+                               "with a \"base\" surface")
     return DoubleCover(surface_from_dict(raw["base"]))

@@ -175,16 +175,6 @@ def fiber_distance(s: FlatSurface) -> float:
     return math.atanh(a)
 
 
-def make_linear_family(s: FlatSurface, v1_coords, v2_coords,
-                       kind="linear-period"):
-    """Convenience builder: cover + homology + directions from raw coords."""
-    cov = build_cover(s)
-    hom = HomologyData(cov)
-    v1 = PeriodVector(tuple(v1_coords), hom.basis_tag, "relative", s.mode)
-    v2 = PeriodVector(tuple(v2_coords), hom.basis_tag, "relative", s.mode)
-    return DeformationFamily(s, cov, hom, v1, v2, kind=kind)
-
-
 def teich_disk_family(s: FlatSurface, d0: float) -> DeformationFamily:
     """Linearization of the Teichmuller disk at lambda=0: v1 = 0,
     v2 = u / sinh(2 d0)."""

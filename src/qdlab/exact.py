@@ -8,9 +8,13 @@ Two scalar backends run through the whole library:
 * float mode -- plain ``float`` / ``complex``.  Used for the transcendental
   operations (geodesic flow, arctanh distances, finite differences).
 
-The linear algebra below is plain fraction-exact Gaussian elimination with
-deterministic pivoting (first usable row, columns left to right), so repeated
-runs produce identical bases.  Sizes in this package stay well under 100x100,
+The linear algebra below has one Gauss-Jordan routine, :func:`rref`:
+fraction-exact elimination with deterministic pivoting (first usable row,
+columns left to right), so repeated runs produce identical bases.
+:func:`rank`, :func:`nullspace`, :func:`solve` and :func:`mat_inverse` read
+their answers off ``rref`` of the matrix or of the matrix augmented with the
+right-hand sides, and so does the cochain solve of
+``homology.HomologyData``.  Sizes in this package stay well under 100x100,
 where Fraction arithmetic is instantaneous; we deliberately avoid pulling in a
 CAS for this.
 """
@@ -137,14 +141,6 @@ def conj(x):
 # exact matrices: lists of lists over Fraction or QC
 # ---------------------------------------------------------------------------
 
-def mat_zeros(rows, cols, zero=Fraction(0)):
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
-def mat_identity(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = []
@@ -158,21 +154,6 @@ def mat_mul(a, b):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_vec(a, v):
-    return [sum_prod(row, v) for row in a]
-
-
-def sum_prod(row, v):
-    s = row[0] * v[0]
-    for k in range(1, len(v)):
-        s = s + row[k] * v[k]
-    return s
-
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def rref(matrix):
@@ -243,37 +224,13 @@ def solve(matrix, rhs):
     side over a Fraction matrix).  Free variables are set to zero, so the
     solution is deterministic.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not is_zero(aug[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and not is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not is_zero(aug[i][cols]):
-            return None
-    zero = rhs[0] * 0 if rhs else Fraction(0)
-    x = [zero] * cols
+    cols = len(matrix[0]) if matrix else 0
+    r, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [rhs[0] * 0 if rhs else Fraction(0)] * cols
     for i, pc in enumerate(pivots):
-        x[pc] = aug[i][cols]
+        x[pc] = r[i][cols]
     return x
 
 
@@ -282,47 +239,13 @@ def mat_inverse(matrix):
     n = len(matrix)
     if n == 0:
         return []
-    aug = [list(matrix[i]) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    # make identity augmentation live in the same field as the matrix
-    sample = matrix[0][0]
-    if isinstance(sample, QC):
-        aug = [list(matrix[i]) + [QC_ONE if i == j else QC_ZERO for j in range(n)]
-               for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if not is_zero(aug[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(n):
-            if i != r and not is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
-
-
-def independent_subset(vectors, ambient_dim):
-    """Indices of a greedy (by position) maximal independent subset."""
-    chosen = []
-    basis_rows = []
-    for idx, v in enumerate(vectors):
-        cand = basis_rows + [list(v)]
-        if rank(cand) > len(basis_rows):
-            basis_rows = [row[:] for row in rref(cand)[0][: len(chosen) + 1]]
-            chosen.append(idx)
-        if len(chosen) == ambient_dim:
-            break
-    return chosen
-
-
-def parse_fraction(text):
-    """Parse 'p/q' or integer strings into Fraction."""
-    return Fraction(str(text))
+    # the identity block lives in the same field as the matrix
+    if isinstance(matrix[0][0], QC):
+        one, zero = QC_ONE, QC_ZERO
+    else:
+        one, zero = Fraction(1), Fraction(0)
+    r, pivots = rref([list(row) + [one if i == j else zero for j in range(n)]
+                      for i, row in enumerate(matrix)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in r]

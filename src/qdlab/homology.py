@@ -71,32 +71,6 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-class _Reducer:
-    """Incremental exact row reduction for greedy basis extension."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = {}  # pivot col -> normalized row
-
-    def reduce(self, vec):
-        v = list(vec)
-        for p in sorted(self.rows):
-            if not is_zero(v[p]):
-                f = v[p]
-                row = self.rows[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def try_add(self, vec):
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if not is_zero(x)), None)
-        if pivot is None:
-            return False
-        inv = v[pivot]
-        self.rows[pivot] = [x / inv for x in v]
-        return True
-
-
 def _find(parent, x):
     """Union-find root of x; roots are the nodes absent from ``parent``."""
     while x in parent:
@@ -263,6 +237,7 @@ class HomologyData:
 
         self.comparison = self._comparison_map()
 
+        self._pairs, self._pair_coeff = self._pair_structure()
         m = len(self.abs_minus_basis)
         self._dual_cocycles = self._anti_invariant_cochains(
             self.abs_minus_basis,
@@ -377,8 +352,6 @@ class HomologyData:
         orbit) and coeff maps every rep index to (pair position, factor) with
         alpha(rep_i) = factor * w_pair.
         """
-        if hasattr(self, "_pairs_cache"):
-            return self._pairs_cache
         pairs = []
         coeff = {}
         for i in range(len(self.reps)):
@@ -392,17 +365,15 @@ class HomologyData:
             coeff[i] = (pos, F1)
             # alpha(iota# rep_i) = -alpha(rep_i): iota#(rep_i) = sg * rep_j
             coeff[j] = (pos, -sg * F1)
-        self._pairs_cache = (pairs, coeff)
-        return self._pairs_cache
+        return pairs, coeff
 
     def _cochain_row(self, chain_vec):
         """Rewrite a functional row over edge reps into pair variables."""
-        pairs, coeff = self._pair_structure()
-        row = [F0] * len(pairs)
+        row = [F0] * len(self._pairs)
         for i, x in enumerate(chain_vec):
             if is_zero(x):
                 continue
-            pos, fac = coeff[i]
+            pos, fac = self._pair_coeff[i]
             row[pos] += fac * x
         return row
 
@@ -410,17 +381,23 @@ class HomologyData:
         """Closed anti-invariant 1-cochain with prescribed cycle periods.
 
         ``cycles`` are 1-cycles in rep coordinates, ``values`` their required
-        periods (Fraction or QC).  The cochain vanishes on a deterministic
-        complement (greedy lowest-index pair variables), mirroring the
-        spanning-forest normalization.  Returns values per edge rep (a dict).
+        periods (Fraction or QC).  The unknowns are the pair variables, one
+        per involution orbit of edge reps; the constraint rows are the
+        boundaries of one triangle per orbit (closedness) and the cycles.
+        Normal form: with the pair variables eliminated in descending index
+        order, the cochain is zero on every non-pivot pair variable.  These
+        are the greedy lowest-index pair variables: variable k is zero
+        exactly when no combination of the constraint rows is supported on
+        variables 0..k with a nonzero entry at k.  Raises
+        :class:`InconsistentFunctional` when no closed cochain takes the
+        values.  Returns values per edge rep (a dict).
         """
         return self._anti_invariant_cochains(cycles, [values])[0]
 
     def _anti_invariant_cochains(self, cycles, value_sets):
         """:meth:`anti_invariant_cochain` for several value lists of equal
         length, sharing one elimination."""
-        pairs, coeff = self._pair_structure()
-        npair = len(pairs)
+        npair = len(self._pairs)
         rows = []
         seen_tris = set()
         for t in range(len(self.csurf.triangles)):
@@ -432,30 +409,25 @@ class HomologyData:
         ncons = len(rows)
         nval = min([len(cycles)] + [len(v) for v in value_sets])
         rows += [self._cochain_row(z) for z in cycles[:nval]]
-        # complete to full column rank with unit rows (deterministic forest)
-        red = _Reducer(npair)
-        for r in rows:
-            red.try_add(r)
-        for k in range(npair):
-            unit = [F0] * npair
-            unit[k] = F1
-            if red.try_add(unit):
-                rows.append(unit)
         # right-hand sides: the values on the cycle rows, zero elsewhere
-        rhs = []
-        for values in value_sets:
-            zero = values[0] * 0 if len(values) else F0
-            rhs.append([zero] * ncons + list(values[:nval])
-                       + [zero] * (len(rows) - ncons - nval))
-        R, pivots = rref([row + [b[r] for b in rhs] for r, row in enumerate(rows)])
-        if len(pivots) > npair:
+        zeros = [values[0] * 0 if len(values) else F0 for values in value_sets]
+        rhs = [[zero] * ncons + list(values[:nval])
+               for zero, values in zip(zeros, value_sets)]
+        # pair variables in descending order, so the free columns are the
+        # lowest-index ones
+        R, pivots = rref([row[::-1] + [b[r] for b in rhs]
+                          for r, row in enumerate(rows)])
+        if pivots and pivots[-1] >= npair:
             raise InconsistentFunctional("no closed cochain matches the functional")
         out = []
-        for j in range(len(rhs)):
+        for j, zero in enumerate(zeros):
+            w = [zero] * npair
+            for r, pc in enumerate(pivots):
+                w[npair - 1 - pc] = R[r][npair + j]
             out.append({})
             for i in range(len(self.reps)):
-                pos, fac = coeff[i]
-                out[j][i] = fac * R[pos][npair + j]
+                pos, fac = self._pair_coeff[i]
+                out[j][i] = fac * w[pos]
         return out
 
     def cocycle_functional(self, values, space="absolute"):

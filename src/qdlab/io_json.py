@@ -134,7 +134,15 @@ def vector_to_dict(pv):
 def vector_from_dict(raw):
     from .periods import PeriodVector
 
+    if not isinstance(raw, dict):
+        raise InputFormatError("period vector must be a JSON object")
     mode = raw.get("mode", "exact")
+    if mode not in ("exact", "float"):
+        raise InputFormatError(f"unknown mode {mode!r}")
+    if not isinstance(raw.get("coords"), list):
+        raise InputFormatError("period vector needs a \"coords\" list")
+    if not isinstance(raw.get("basis_tag"), str):
+        raise InputFormatError("period vector needs a \"basis_tag\" string")
     coords = [_scalar_from_json(c, mode) for c in raw["coords"]]
     return PeriodVector(tuple(coords), raw["basis_tag"], raw.get("space", "relative"),
                         mode)

@@ -106,12 +106,6 @@ class WedgeTable:
     def from_family(cls, fam: DeformationFamily):
         return cls(fam.homology, fam.u, fam.v1, fam.v2)
 
-    @classmethod
-    def from_values(cls, wc, wp):
-        obj = cls.__new__(cls)
-        obj.wc, obj.wp = wc, wp
-        return obj
-
     def norm_at(self, lam):
         """(i/4) wedge(u_lam, conj(u_lam)) as an exact/float complex number."""
         exact = isinstance(lam, QC) or isinstance(lam, (int, Fraction))
@@ -675,7 +669,6 @@ class PairingScenario:
         c = 1 / self.sinh2d0()
         u = self.vectors["u"]
         v2 = [QC(c, 0) * z for z in u]
-        wv2v2 = self.wc(v2, "u") * 0  # placeholder keeps shape explicit
         wv2v2 = self.w(v2, [z.conjugate() for z in v2])
         wuv2 = self.w(self.vectors["u"], [z.conjugate() for z in v2])
         n_ll = QC(0, Fraction(1, 4)) * wv2v2

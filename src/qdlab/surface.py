@@ -36,7 +36,7 @@ from .errors import (
     SurfaceError,
     UnmarkedPole,
 )
-from .exact import QC, conj, is_zero
+from .exact import QC, is_zero
 
 FLOAT_ANGLE_TOL = 1e-9  # |angle defect| / pi tolerated in float mode
 
@@ -154,13 +154,8 @@ class FlatSurface:
                 scale = max(abs(complex(va)), abs(complex(vb)), abs(complex(vcv)))
                 if abs(complex(s)) > 1e-9 * scale:
                     raise ClosureViolation(f"triangle {ti} does not close")
-            ar2 = cross(va, vb)
-            if self.mode == "exact":
-                if ar2 <= 0:
-                    raise DegenerateTriangle(f"triangle {ti} not positively oriented")
-            else:
-                if ar2 <= 0:
-                    raise DegenerateTriangle(f"triangle {ti} not positively oriented")
+            if cross(va, vb) <= 0:
+                raise DegenerateTriangle(f"triangle {ti} not positively oriented")
         for e, f in self.glue.items():
             lhs = self.vec[f]
             rhs = -self.sign[e] * self.vec[e]

@@ -236,7 +236,7 @@ def check_period_additivity(seed=13, count_per_surface=100):
 
 # -- criterion 7: first variation ------------------------------------------------
 
-def _scaled_ctx(name, rng=None):
+def _scaled_ctx(name):
     """Bundled surface scaled to area < 1 (fiber chart) plus cover+homology."""
     s, _, _ = ctx(name)
     a = area(s)

@@ -68,16 +68,40 @@ def _pillowcase_float():
     return raw
 
 
-@pytest.mark.parametrize("spoil", ["edges_list", "nan", "inf"])
+# malformed files given to a command in place of one of its JSON inputs;
+# "COVER" stands for a valid cover file
+_BAD_JSON = {
+    "vector_coords_int": (["deform", "COVER", "--v"], '{"basis_tag": "x", "coords": 5}'),
+    "vector_list": (["deform", "COVER", "--v"], "[1]"),
+    "vector_no_coords": (["deform", "COVER", "--v"], '{"basis_tag": "x"}'),
+    "vector_no_tag": (["deform", "COVER", "--v"], '{"coords": []}'),
+    "vector_not_json": (["deform", "COVER", "--v"], "not json"),
+    "cover_list": (["homology"], "[1]"),
+    "cover_no_base": (["homology"], '{"cover": {}}'),
+    "hom_list": (["periods", "COVER"], "[1]"),
+}
+
+
+@pytest.mark.parametrize("spoil", ["edges_list", "nan", "inf", *_BAD_JSON])
 def test_bad_input_exit_2_json_error(tmp_path, capsys, spoil):
-    raw = _pillowcase_float()
-    assert _build_raw(tmp_path, raw) == 0
-    capsys.readouterr()
-    if spoil == "edges_list":
-        raw["edges"] = list(raw["edges"].values())
+    if spoil in _BAD_JSON:
+        args, text = _BAD_JSON[spoil]
+        cov = tmp_path / "cover.json"
+        assert run(["cover", str(bundled_surface_path("pillowcase")),
+                    "--out", str(cov)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args = [str(cov) if a == "COVER" else a for a in args] + [str(bad)]
+        assert run(args) == 2
     else:
-        raw["edges"]["0"] = {"re": spoil, "im": "0"}
-    assert _build_raw(tmp_path, raw) == 2
+        raw = _pillowcase_float()
+        assert _build_raw(tmp_path, raw) == 0
+        capsys.readouterr()
+        if spoil == "edges_list":
+            raw["edges"] = list(raw["edges"].values())
+        else:
+            raw["edges"]["0"] = {"re": spoil, "im": "0"}
+        assert _build_raw(tmp_path, raw) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "InputFormatError"

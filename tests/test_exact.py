@@ -94,6 +94,20 @@ def test_qc_linear_solve():
     assert A[0][0] * x[0] + A[0][1] * x[1] == b[0]
     assert A[1][0] * x[0] + A[1][1] * x[1] == b[1]
 
+    # QC right-hand side over a Fraction matrix, as in the cochain solve
+    A = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(-1, 2)]]
+    b = [QC(1, Fraction(1, 3)), QC(-2, 5)]
+    x = solve(A, b)
+    assert all(isinstance(v, QC) for v in x)
+    assert [A[i][0] * x[0] + A[i][1] * x[1] for i in range(2)] == b
+    assert solve(A + [[Fraction(4), Fraction(3, 2)]], b + [QC(0, 1)]) is None
+
+    # underdetermined: free variables (columns 1 and 3) come back zero
+    A = [[Fraction(1), Fraction(2), Fraction(0), Fraction(1)],
+         [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)]]
+    b = [QC(3, 1), QC(0, 2)]
+    assert solve(A, b) == [QC(3, 1), QC(0, 0), QC(0, 2), QC(0, 0)]
+
 
 def test_inconsistent_system():
     A = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]

@@ -327,3 +327,58 @@ def test_forest_cotree_kernel_matches_elimination_oracle(name, flip_seed):
                 chain = [Fraction(int(j == i)) for j in range(len(h.reps))]
                 with pytest.raises(InconsistentFunctional):
                     h1.coords(chain)
+
+
+def _two_square_torus():
+    """1x2 torus of two unit squares with both vertices marked.  Its lifted
+    vertices carry anti-invariant 0-cochains that are not closed, so unlike
+    the bundled surfaces its cochain systems have free pair variables."""
+    from qdlab.builders import _assemble
+
+    return _assemble([0, 6], [(1, 11, 1), (7, 5, 1), (0, 4, 1), (6, 10, 1)],
+                     marked=[0, 1])
+
+
+@pytest.mark.parametrize("name", [*bundled_names(), "two_square_torus"])
+@pytest.mark.parametrize("flip_seed", [None, 0, 1, 2])
+def test_anti_invariant_cochain_normal_form(name, flip_seed):
+    from qdlab.builders import random_flip_variant
+    from qdlab.exact import rank
+
+    surf = _two_square_torus() if name == "two_square_torus" else bundled_surface(name)
+    if flip_seed is not None:
+        rng = random.Random(flip_seed)
+        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
+    h = homology_data(build_cover(surf))
+    nr = len(h.reps)
+    units = [[Fraction(int(j == i)) for j in range(nr)] for i in range(nr)]
+    pairs, _ = h._pair_structure()
+    npair = len(pairs)
+    rng = random.Random(f"{name}/{flip_seed}")
+    for basis in (h.abs_minus_basis, h.rel_minus_basis):
+        # pair variable k is free, and the cochain must vanish on it, when
+        # e_k is independent of the constraint rows and e_0 .. e_{k-1}
+        rows = [h._cochain_row(r) for r in h._boundaries + basis]
+        free = []
+        span = rank(rows)
+        for k in range(npair):
+            rows = rows + [[Fraction(int(j == k)) for j in range(npair)]]
+            if rank(rows) > span:
+                free.append(k)
+                span += 1
+        assert span == npair
+        if name == "two_square_torus" and basis is h.abs_minus_basis:
+            assert free
+        for _ in range(3):
+            values = [QC(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                         Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                      for _ in basis]
+            w = h.anti_invariant_cochain(basis, values)
+            assert all(h.evaluate_cochain(w, bd) == 0 for bd in h._boundaries)
+            assert all(h.evaluate_cochain(w, h.iota_chain(u)) == -w[i]
+                       for i, u in enumerate(units))
+            assert [h.evaluate_cochain(w, z) for z in basis] == values
+            assert all(w[pairs[k]] == 0 for k in free)
+    z = h.abs_minus_basis[0]
+    with pytest.raises(InconsistentFunctional):
+        h.anti_invariant_cochain([z, z], [QC(1), QC(2)])
