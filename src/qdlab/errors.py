@@ -80,10 +80,6 @@ class NegativeNorm(QdlabError):
     tag = "NegativeNorm"
 
 
-class ToleranceExceeded(QdlabError):
-    tag = "ToleranceExceeded"
-
-
 class SingularPoint(QdlabError):
     tag = "SingularPoint"
 

@@ -39,7 +39,6 @@ from .errors import (
     NegativeNorm,
     NormOutOfRange,
     SingularPoint,
-    ToleranceExceeded,
 )
 from .exact import QC, QC_I, conj, is_zero, nullspace
 from .homology import HomologyData, wedge
@@ -52,7 +51,6 @@ F1 = Fraction(1)
 @dataclass(frozen=True)
 class FDConfig:
     step: float = 1e-4
-    scheme: str = "central"
     richardson_levels: int = 1
     tolerance: float = 1e-6
 
@@ -65,7 +63,7 @@ class FDConfig:
 class CheckReport:
     name: str
     passed: bool
-    tolerance: float
+    tolerance: float = 0.0
     max_abs_err: float = 0.0
     max_rel_err: float = 0.0
     cases: list = field(default_factory=list)
@@ -79,11 +77,6 @@ class CheckReport:
             "max_rel_err": self.max_rel_err,
             "cases": self.cases,
         }
-
-    def require(self):
-        if not self.passed:
-            raise ToleranceExceeded(f"{self.name}: tolerance exceeded")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +183,7 @@ def _cosh2(norm0: float):
     return 1.0 / (1.0 - norm0 * norm0)
 
 
-def first_variation_check(fam: DeformationFamily, cfg: FDConfig = FDConfig(),
-                          strict=False) -> CheckReport:
+def first_variation_check(fam: DeformationFamily, cfg: FDConfig = FDConfig()) -> CheckReport:
     """Compare the finite-difference lambda-derivative of arctanh(norm)
     against the wedge first-variation formula (and its reduced form)."""
     table = WedgeTable.from_family(fam)
@@ -211,7 +203,7 @@ def first_variation_check(fam: DeformationFamily, cfg: FDConfig = FDConfig(),
     trivial = abs(formula) < 1e-14 and abs(fd) < 1e-10
     passed = rel_err <= cfg.tolerance or abs_err <= cfg.tolerance * 1e-2 or trivial
     reduced_err = abs(fd - reduced) / scale
-    rep = CheckReport(
+    return CheckReport(
         name="first-variation",
         passed=passed,
         tolerance=cfg.tolerance,
@@ -226,11 +218,10 @@ def first_variation_check(fam: DeformationFamily, cfg: FDConfig = FDConfig(),
             "base_norm": n0,
         }],
     )
-    return rep.require() if strict else rep
 
 
-def laplacian_check_linear(fam: DeformationFamily, cfg: FDConfig = FDConfig(tolerance=1e-5),
-                           strict=False) -> CheckReport:
+def laplacian_check_linear(fam: DeformationFamily,
+                           cfg: FDConfig = FDConfig(tolerance=1e-5)) -> CheckReport:
     """FD Laplacian of the distance vs the linear-family closed form."""
     table = WedgeTable.from_family(fam)
     n0 = float(norm_of_linear_family(table, 0j))
@@ -248,7 +239,7 @@ def laplacian_check_linear(fam: DeformationFamily, cfg: FDConfig = FDConfig(tole
     rel_err = abs_err / scale
     trivial = abs(closed) < 1e-13 and abs(fd) < 1e-6
     passed = rel_err <= cfg.tolerance or abs_err <= cfg.tolerance * 1e-2 or trivial
-    rep = CheckReport(
+    return CheckReport(
         name="laplacian-linear",
         passed=passed,
         tolerance=cfg.tolerance,
@@ -256,15 +247,14 @@ def laplacian_check_linear(fam: DeformationFamily, cfg: FDConfig = FDConfig(tole
         max_rel_err=rel_err,
         cases=[{"fd": fd, "closed_form": float(closed), "base_norm": n0}],
     )
-    return rep.require() if strict else rep
 
 
 # ---------------------------------------------------------------------------
 # Teichmuller-disk harmonicity and the Demailly limit
 # ---------------------------------------------------------------------------
 
-def disk_harmonicity_check(s, d0: float, grid=None, cfg: FDConfig = FDConfig(tolerance=1e-5),
-                           strict=False) -> CheckReport:
+def disk_harmonicity_check(s, d0: float, grid=None,
+                           cfg: FDConfig = FDConfig(tolerance=1e-5)) -> CheckReport:
     """|FD Laplacian of log tanh d| must vanish away from lambda = -tanh d0."""
     if d0 <= 0:
         raise SingularPoint("d0 must be positive")
@@ -290,7 +280,7 @@ def disk_harmonicity_check(s, d0: float, grid=None, cfg: FDConfig = FDConfig(tol
         worst = max(worst, abs(lap))
         cases.append({"lambda": [complex(lam).real, complex(lam).imag],
                       "fd_laplacian": lap})
-    rep = CheckReport(
+    return CheckReport(
         name="disk-harmonicity",
         passed=worst <= cfg.tolerance,
         tolerance=cfg.tolerance,
@@ -298,7 +288,6 @@ def disk_harmonicity_check(s, d0: float, grid=None, cfg: FDConfig = FDConfig(tol
         max_rel_err=worst,
         cases=cases,
     )
-    return rep.require() if strict else rep
 
 
 def default_disk_grid(n_ring=8, radii=(0.12, 0.24, 0.36)):
@@ -345,7 +334,6 @@ def demailly_ratio(d_x: float, d_y: float, t_values) -> CheckReport:
     return CheckReport(
         name="demailly-ratio",
         passed=monotone,
-        tolerance=0.0,
         max_abs_err=gaps[-1] if gaps else 0.0,
         max_rel_err=gaps[-1] if gaps else 0.0,
         cases=cases + [{"target": target, "monotone": monotone}],
@@ -731,7 +719,6 @@ def scenario_identity_check(rng, count=1000, n=3) -> CheckReport:
     return CheckReport(
         name="levi-algebra-scenarios",
         passed=not failures,
-        tolerance=0.0,
         max_abs_err=0.0 if not failures else 1.0,
         max_rel_err=0.0 if not failures else 1.0,
         cases=failures[:20] + [{"count": count, "failures": len(failures)}],

@@ -118,6 +118,9 @@ class FlatSurface:
                 if p not in self.glue:
                     raise GluingMismatch(f"edge {p} has no gluing partner")
                 e = self.glue[p]
+                if e not in self._prev:
+                    raise GluingMismatch(f"edge {p} is glued to {e}, "
+                                         "an edge of no triangle")
             if vertex_of[e] != e0:
                 raise GluingMismatch("corner walk escaped its own orbit")
             vertices[e0] = tuple(orbit)

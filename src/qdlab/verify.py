@@ -1,13 +1,18 @@
-"""Bundled verification suites: one callable per acceptance-style criterion.
+"""Bundled verification criteria: one function per acceptance criterion.
 
-Each suite returns a CheckReport-like dict: {"name", "passed", "detail"}.
-``run_all`` executes the whole battery on the bundled surfaces and prints one
-pass/fail line per criterion; it is what ``qdlab verify all --suite bundled``
-runs, and the pytest acceptance module calls the same functions.
+Every ``check_*`` returns a :class:`qdlab.levi.CheckReport`.  Its ``cases``
+hold one entry per surface, d0, pair or poset, tagged with that key; counts
+over the whole criterion sit in a last summary entry.  The family checks
+(criterion 7 and the Laplacian check) also list every family, tagged with its
+surface and family index.  ``run_all`` runs the thirteen criteria on the
+bundled surfaces and prints one pass/fail line per criterion.  ``qdlab
+verify`` and the pytest acceptance module call these same functions.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -19,17 +24,19 @@ from .builders import (
     random_flip_variant,
 )
 from .cover import build_cover
-from .deformation import affine_deform, geodesic_flow
+from .deformation import DeformationFamily, affine_deform, geodesic_flow
 from .delaunay import delaunayize, is_delaunay
 from .errors import InconsistentFunctional, TriangleFlip
 from .exact import QC, QC_I
 from .homology import homology_data, wedge, wedge_cup_oracle
 from .levi import (
+    CheckReport,
     FDConfig,
     default_disk_grid,
     demailly_ratio,
     disk_harmonicity_check,
     first_variation_check,
+    laplacian_check_linear,
     scenario_identity_check,
     thurston_pairing,
 )
@@ -45,24 +52,12 @@ EXPECTED_RANKS = {
 }
 
 
-def _ctx(name):
+@functools.cache
+def ctx(name):
+    """Bundled surface ``name`` with its double cover and homology."""
     s = bundled_surface(name)
     c = build_cover(s)
-    h = homology_data(c)
-    return s, c, h
-
-
-_CTX_CACHE = {}
-
-
-def ctx(name):
-    if name not in _CTX_CACHE:
-        _CTX_CACHE[name] = _ctx(name)
-    return _CTX_CACHE[name]
-
-
-def _report(name, passed, detail):
-    return {"name": name, "passed": bool(passed), "detail": detail}
+    return s, c, homology_data(c)
 
 
 def _rand_qc(rng, span=4):
@@ -79,23 +74,22 @@ def _random_vector(h, rng, space="relative", span=4):
 # -- criterion 1: dimension identity -----------------------------------------
 
 def check_dimension_identity():
-    detail = {}
+    cases = []
     ok = True
     for name in bundled_names():
         s, c, h = ctx(name)
-        sym = symbol(s)
-        dim = stratum_dim(sym, s.genus())
+        dim = stratum_dim(symbol(s), s.genus())
         r = h.rank_rel_minus()
-        detail[name] = {"rank_rel_minus": r, "stratum_dim": dim,
-                        "expected": EXPECTED_RANKS[name]}
+        cases.append({"surface": name, "rank_rel_minus": r, "stratum_dim": dim,
+                      "expected": EXPECTED_RANKS[name]})
         ok = ok and r == dim == EXPECTED_RANKS[name]
-    return _report("dimension-identity", ok, detail)
+    return CheckReport("dimension-identity", ok, cases=cases)
 
 
 # -- criterion 2: cover bookkeeping -------------------------------------------
 
 def check_cover_bookkeeping():
-    detail = {}
+    cases = []
     ok = True
     for name in bundled_names():
         s, c, h = ctx(name)
@@ -103,16 +97,17 @@ def check_cover_bookkeeping():
         chic = c.cover_surface.euler_characteristic()
         n_o = len(c.classification.sigma_o)
         good = chic == 2 * chi0 - n_o
-        entry = {"chi_base": chi0, "chi_cover": chic, "branch": n_o}
+        entry = {"surface": name, "chi_base": chi0, "chi_cover": chic,
+                 "branch": n_o}
         if name == "genus2_generic":
             comps = c.cover_surface.components()
             genus = c.cover_surface.component_genus(comps[0])
             good = good and len(comps) == 1 and genus == 5
             good = good and genus == 2 * s.genus() - 1 + n_o // 2
             entry["cover_genus"] = genus
-        detail[name] = entry
+        cases.append(entry)
         ok = ok and good
-    return _report("cover-bookkeeping", ok, detail)
+    return CheckReport("cover-bookkeeping", ok, cases=cases)
 
 
 # -- criterion 3: Riemann area identity ----------------------------------------
@@ -124,17 +119,17 @@ def _area_identity_holds(s, c, h):
     return val == QC(target, 0), val
 
 
-def check_area_identity(seed=7, variants=100):
+def check_area_identity(seed=7, count=100):
     rng = random.Random(seed)
-    detail = {}
+    cases = []
     ok = True
     for name in bundled_names():
         s, c, h = ctx(name)
         good, val = _area_identity_holds(s, c, h)
-        detail[name] = {"i_wedge_u_ubar": [str(val.re), str(val.im)],
-                        "4area": str(4 * area(s)), "exact": good}
+        cases.append({"surface": name, "i_wedge_u_ubar": [str(val.re), str(val.im)],
+                      "4area": str(4 * area(s)), "exact": good})
         ok = ok and good
-    per = max(1, variants // len(bundled_names()))
+    per = max(1, count // len(bundled_names()))
     checked = 0
     for name in bundled_names():
         s, _, _ = ctx(name)
@@ -145,39 +140,40 @@ def check_area_identity(seed=7, variants=100):
             good, _ = _area_identity_holds(v, cv, hv)
             ok = ok and good
             checked += 1
-    detail["random_flip_variants"] = checked
-    return _report("riemann-area-identity", ok, detail)
+    cases.append({"random_flip_variants": checked})
+    return CheckReport("riemann-area-identity", ok, cases=cases)
 
 
 # -- criterion 4: cup-product oracle -------------------------------------------
 
-def check_cup_oracle(seed=11, pairs_per_surface=100):
+def check_cup_oracle(seed=11, count=100):
     rng = random.Random(seed)
-    detail = {}
+    cases = []
     ok = True
     for name in bundled_names():
         s, c, h = ctx(name)
         bad = 0
-        for _ in range(pairs_per_surface):
+        for _ in range(count):
             x = _random_vector(h, rng, space="absolute")
             y = _random_vector(h, rng, space="absolute")
             if wedge(h, x, y) != wedge_cup_oracle(h, x, y):
                 bad += 1
-        detail[name] = {"pairs": pairs_per_surface, "mismatches": bad}
+        cases.append({"surface": name, "pairs": count, "mismatches": bad})
         ok = ok and bad == 0
-    return _report("cup-product-oracle", ok, detail)
+    return CheckReport("cup-product-oracle", ok, cases=cases)
 
 
 # -- criterion 5: geodesic flow --------------------------------------------------
 
 def check_geodesic_flow(ts=(0.1, 1.0, 5.0), tol=1e-12):
-    detail = {}
+    cases = []
     ok = True
+    worst = 0.0
     for name in bundled_names():
         s, c, h = ctx(name)
         sym0 = symbol(s)
         u0 = period_map(c, h)
-        entry = {}
+        entry = {"surface": name}
         for t in ts:
             st = geodesic_flow(s, t)
             k = math.exp(-2 * t)
@@ -194,22 +190,23 @@ def check_geodesic_flow(ts=(0.1, 1.0, 5.0), tol=1e-12):
                     per_ok = False
             entry[str(t)] = {"area_rel_err": rel, "symbol_ok": sym_ok,
                              "periods_ok": per_ok}
+            worst = max(worst, rel)
             ok = ok and rel <= tol and sym_ok and per_ok
-        detail[name] = entry
-    return _report("geodesic-flow", ok, detail)
+        cases.append(entry)
+    return CheckReport("geodesic-flow", ok, tol, max_rel_err=worst, cases=cases)
 
 
 # -- criterion 6: period additivity ----------------------------------------------
 
-def check_period_additivity(seed=13, count_per_surface=100):
+def check_period_additivity(seed=13, count=100):
     rng = random.Random(seed)
-    detail = {}
+    cases = []
     ok = True
     for name in bundled_names():
         s, c, h = ctx(name)
         u0 = period_map(c, h)
         good = 0
-        for _ in range(count_per_surface):
+        for _ in range(count):
             v = _random_vector(h, rng).scale(Fraction(1, 16))
             try:
                 c2 = affine_deform(c, h, v)
@@ -228,106 +225,132 @@ def check_period_additivity(seed=13, count_per_surface=100):
             affine_deform(c, h, -u0)
         except TriangleFlip:
             flip_ok = True
-        detail[name] = {"exact_additive": good, "attempted": count_per_surface,
-                        "collapse_raises": flip_ok}
-        ok = ok and good >= int(0.9 * count_per_surface) and flip_ok
-    return _report("period-additivity", ok, detail)
+        cases.append({"surface": name, "exact_additive": good,
+                      "attempted": count, "collapse_raises": flip_ok})
+        ok = ok and good >= int(0.9 * count) and flip_ok
+    return CheckReport("period-additivity", ok, cases=cases)
 
 
-# -- criterion 7: first variation ------------------------------------------------
+# -- criterion 7 and the Laplacian check: seeded linear families ----------------
 
-def _scaled_ctx(name):
-    """Bundled surface scaled to area < 1 (fiber chart) plus cover+homology."""
-    s, _, _ = ctx(name)
+def scaled_surface(name):
+    """Bundled surface ``name`` scaled by a power of 1/2 to area < 1: the
+    fiber chart, where the norm stays below 1 and its arctanh is a distance."""
+    s = bundled_surface(name)
     a = area(s)
     scale = Fraction(1, 2)
     while scale * scale * a >= 1:
         scale /= 2
-    st = s.scaled(scale)
-    cv = build_cover(st)
-    hv = homology_data(cv)
-    return st, cv, hv
+    return s.scaled(scale)
 
 
-def check_first_variation(seed=17, families_per_surface=50):
+def _family_report(name, check, seed, count, surfaces, tol, controls=None):
+    """``check(family, cfg)`` on ``count`` seeded families u + lam v1 +
+    conj(lam) v2 per scaled surface, one rng across the surfaces.
+
+    Each family's case is tagged with its surface and family index; a summary
+    entry follows each surface.  ``controls(reports, tol)`` returns
+    ``(summary fields, passed)`` for each surface.
+    """
     rng = random.Random(seed)
-    detail = {}
+    cfg = FDConfig(step=1e-4, richardson_levels=1, tolerance=tol)
+    cases, reports = [], []
     ok = True
-    cfg = FDConfig(step=1e-4, richardson_levels=1, tolerance=1e-6)
-    for name in bundled_names():
-        st, cv, hv = _scaled_ctx(name)
-        worst = 0.0
-        neg_ok = 0
-        neg_total = 0
-        for k in range(families_per_surface):
+    for surface in surfaces or bundled_names():
+        st = scaled_surface(surface)
+        cv = build_cover(st)
+        hv = homology_data(cv)
+        reps = []
+        for k in range(count):
             v1 = _random_vector(hv, rng).scale(Fraction(1, 12))
             v2 = _random_vector(hv, rng).scale(Fraction(1, 12))
-            fam = _family(st, cv, hv, v1, v2)
-            rep = first_variation_check(fam, cfg)
-            worst = max(worst, rep.max_rel_err)
-            if not rep.passed:
-                ok = False
-            case = rep.cases[0]
-            v1u = complex(*case["v1_wedge_ubar"])
-            formula = complex(*case["formula"])
-            if abs(v1u) > 1e-6 * max(1.0, abs(formula)):
-                neg_total += 1
-                if case["reduced_rel_err"] >= 10 * cfg.tolerance:
-                    neg_ok += 1
-        detail[name] = {"families": families_per_surface,
-                        "max_rel_err": worst,
-                        "negative_controls": [neg_ok, neg_total]}
-        ok = ok and (neg_total == 0 or neg_ok == neg_total) and neg_total > 0
-    return _report("first-variation", ok, detail)
+            rep = check(DeformationFamily(st, cv, hv, v1, v2), cfg)
+            reps.append(rep)
+            cases.append({"surface": surface, "family": k, "passed": rep.passed,
+                          "rel_err": rep.max_rel_err, **rep.cases[0]})
+        extra, good = controls(reps, tol) if controls else ({}, True)
+        cases.append({"surface": surface, "families": count,
+                      "max_rel_err": max((r.max_rel_err for r in reps), default=0.0),
+                      **extra})
+        ok = ok and good and all(r.passed for r in reps)
+        reports += reps
+    return CheckReport(
+        name, ok, tol,
+        max_abs_err=max((r.max_abs_err for r in reports), default=0.0),
+        max_rel_err=max((r.max_rel_err for r in reports), default=0.0),
+        cases=cases)
 
 
-def _family(st, cv, hv, v1, v2):
-    from .deformation import DeformationFamily
+def _negative_controls(reps, tol):
+    """A family with v1^u-bar != 0 must miss the reduced first-variation
+    formula, which drops that term."""
+    hit = total = 0
+    for rep in reps:
+        case = rep.cases[0]
+        v1u = complex(*case["v1_wedge_ubar"])
+        formula = complex(*case["formula"])
+        if abs(v1u) > 1e-6 * max(1.0, abs(formula)):
+            total += 1
+            if case["reduced_rel_err"] >= 10 * tol:
+                hit += 1
+    return {"negative_controls": [hit, total]}, 0 < total == hit
 
-    return DeformationFamily(st, cv, hv, v1, v2)
+
+def check_first_variation(seed=17, count=50, surfaces=None, tol=1e-6):
+    return _family_report("first-variation", first_variation_check, seed,
+                          count, surfaces, tol, _negative_controls)
+
+
+def check_laplacian(seed=17, count=50, surfaces=None, tol=1e-5):
+    """FD Laplacian of the distance against its linear-family closed form
+    (not one of the thirteen criteria)."""
+    return _family_report("laplacian", laplacian_check_linear, seed, count,
+                          surfaces, tol)
 
 
 # -- criterion 8: disk harmonicity ------------------------------------------------
 
-def check_disk_harmonicity(d0s=(0.3, 0.7, 1.2), tol=1e-5):
-    detail = {}
-    ok = True
-    s, _, _ = ctx("marked_torus")
+def check_disk_harmonicity(surface=None, d0s=(0.3, 0.7, 1.2), tol=1e-5):
+    """On ``surface`` (default: the bundled marked torus)."""
+    s = bundled_surface("marked_torus") if surface is None else surface
     cfg = FDConfig(step=1e-3, richardson_levels=1, tolerance=tol)
+    cases = []
     for d0 in d0s:
         rep = disk_harmonicity_check(s, d0, default_disk_grid(), cfg)
-        detail[str(d0)] = {"max_abs_laplacian": rep.max_abs_err,
-                           "points": len(rep.cases)}
-        ok = ok and rep.passed and len(rep.cases) == 25
-    return _report("disk-harmonicity", ok, detail)
+        cases.append({"d0": d0, "passed": rep.passed,
+                      "max_abs_laplacian": rep.max_abs_err,
+                      "points": len(rep.cases), "grid": rep.cases})
+    worst = max((c["max_abs_laplacian"] for c in cases), default=0.0)
+    ok = all(c["passed"] and c["points"] == 25 for c in cases)
+    return CheckReport("disk-harmonicity", ok, tol, worst, worst, cases)
 
 
 # -- criterion 9: Demailly limit ---------------------------------------------------
 
 def check_demailly(pairs=((0.3, 0.7), (0.1, 1.0)), tol=1e-3):
-    detail = {}
-    ok = True
+    cases = []
     for d_x, d_y in pairs:
         rep = demailly_ratio(d_x, d_y, [4.0, 6.0, 8.0, 10.0])
-        final_gap = rep.cases[-2]["gap"]
         gaps = [c["gap"] for c in rep.cases if "gap" in c]
         monotone = all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:]))
-        detail[f"{d_x},{d_y}"] = {"final_gap": final_gap, "monotone": monotone}
-        ok = ok and final_gap <= tol and monotone
-    return _report("demailly-limit", ok, detail)
+        cases.append({"pair": [d_x, d_y], "final_gap": gaps[-1],
+                      "monotone": monotone, "ray": rep.cases})
+    worst = max((c["final_gap"] for c in cases), default=0.0)
+    ok = all(c["final_gap"] <= tol and c["monotone"] for c in cases)
+    return CheckReport("demailly-limit", ok, tol, worst, worst, cases)
 
 
 # -- criterion 10: Thurston pairing consistency -------------------------------------
 
-def check_thurston(seed=19, pairs_per_surface=100):
+def check_thurston(seed=19, count=100):
     rng = random.Random(seed)
-    detail = {}
+    cases = []
     ok = True
     for name in bundled_names():
         s, c, h = ctx(name)
         consistent = 0
         bilinear = True
-        for _ in range(pairs_per_surface):
+        for _ in range(count):
             x = _random_vector(h, rng, space="absolute")
             y = _psi_compatible(h, rng, x)
             try:
@@ -342,10 +365,10 @@ def check_thurston(seed=19, pairs_per_surface=100):
             x2 = x.scale(Fraction(3, 2))
             if thurston_pairing(h, x2, y) != Fraction(3, 2) * t1:
                 bilinear = False
-        detail[name] = {"pairs": pairs_per_surface, "routes_equal": consistent,
-                        "bilinear_antisymmetric": bilinear}
-        ok = ok and consistent == pairs_per_surface and bilinear
-    return _report("thurston-pairing", ok, detail)
+        cases.append({"surface": name, "pairs": count, "routes_equal": consistent,
+                      "bilinear_antisymmetric": bilinear})
+        ok = ok and consistent == count and bilinear
+    return CheckReport("thurston-pairing", ok, cases=cases)
 
 
 def _psi_compatible(h, rng, x):
@@ -365,65 +388,52 @@ def _psi_compatible(h, rng, x):
 # -- criterion 11: Levi-form algebra --------------------------------------------------
 
 def check_levi_algebra(seed=23, count=1000):
-    rng = random.Random(seed)
-    rep = scenario_identity_check(rng, count=count)
-    summary = rep.cases[-1]
-    return _report("levi-form-algebra", rep.passed, summary)
+    rep = scenario_identity_check(random.Random(seed), count=count)
+    return dataclasses.replace(rep, name="levi-form-algebra")
 
 
 # -- criterion 12: Delaunay -------------------------------------------------------------
 
-def check_delaunay(seed=29, random_surfaces=100):
+def check_delaunay(seed=29, count=100):
     rng = random.Random(seed)
-    detail = {}
-    ok = True
-    cases = []
-    for name in bundled_names():
-        s, _, _ = ctx(name)
-        cases.append((name, s))
-    per = max(1, random_surfaces // (2 * len(bundled_names())))
+    surfaces = [(name, ctx(name)[0]) for name in bundled_names()]
+    per = max(1, count // (2 * len(bundled_names())))
     for name in bundled_names():
         s, _, _ = ctx(name)
         for k in range(per):
-            cases.append((f"{name}-flip{k}",
-                          random_flip_variant(s, rng, rng.randint(1, 6))))
-            cases.append((f"{name}-deform{k}",
-                          random_deform_variant(s, rng)))
+            surfaces.append((f"{name}-flip{k}",
+                             random_flip_variant(s, rng, rng.randint(1, 6))))
+            surfaces.append((f"{name}-deform{k}",
+                             random_deform_variant(s, rng)))
+    cases = []
     n_checked = 0
-    for label, s in cases:
+    for label, s in surfaces:
         d, recs = delaunayize(s)
         flat, bad = is_delaunay(d)
         if not flat:
-            ok = False
-            detail[label] = {"certified": False, "violations": len(bad)}
+            cases.append({"surface": label, "certified": False,
+                          "violations": len(bad)})
             continue
         d2, recs2 = delaunayize(d)
         idem = not recs2 and d2.triangles == d.triangles
         preserved = area(d) == area(s) and symbol(d) == symbol(s)
         n_checked += 1
         if not (idem and preserved):
-            ok = False
-            detail[label] = {"idempotent": idem, "preserved": preserved}
-    detail["surfaces_checked"] = n_checked
-    detail["total_cases"] = len(cases)
-    return _report("delaunay", ok and n_checked == len(cases), detail)
+            cases.append({"surface": label, "idempotent": idem,
+                          "preserved": preserved})
+    ok = not cases and n_checked == len(surfaces)
+    cases.append({"surfaces_checked": n_checked, "total_cases": len(surfaces)})
+    return CheckReport("delaunay", ok, cases=cases)
 
 
 # -- criterion 13: stratum poset -----------------------------------------------------------
 
 def check_strata_poset():
-    detail = {}
-    ok = True
-
     poset04 = SymbolPoset(0, 4)
     pillow_sym = make_symbol(0, 4, {}, -1)
     nodes04 = poset04.nodes
     ok04 = nodes04 == [pillow_sym] and poset04.edges == []
-    maxima = poset04.maxima()
-    ok04 = ok04 and pillow_sym in maxima
-    detail["(0,4)"] = {"nodes": [str(s) for s in nodes04],
-                       "edges": poset04.edges, "ok": ok04}
-    ok = ok and ok04
+    ok04 = ok04 and pillow_sym in poset04.maxima()
 
     poset11 = SymbolPoset(1, 1)
     torus_sym = make_symbol(1, 0, {}, 1)
@@ -432,9 +442,6 @@ def check_strata_poset():
     ok11 = set(poset11.nodes) == expect_nodes and poset11.edges == []
     # both strata have dimension 2: no strictly-decreasing collision exists
     ok11 = ok11 and not degenerates_to(generic11, torus_sym, 1, 1)
-    detail["(1,1)"] = {"nodes": [str(s) for s in poset11.nodes],
-                       "edges": poset11.edges, "ok": ok11}
-    ok = ok and ok11
 
     # dimension strictly decreases along edges of a richer poset
     poset20 = SymbolPoset(2, 0)
@@ -443,11 +450,17 @@ def check_strata_poset():
     top = make_symbol(0, 0, {1: 4}, -1)
     merged = make_symbol(0, 0, {2: 1, 1: 2}, -1)
     chain = degenerates_to(top, merged, 2, 0)
-    detail["(2,0)"] = {"nodes": len(poset20.nodes), "edges": len(poset20.edges),
-                       "strictly_decreasing": strict,
-                       "simple_collision": chain}
-    ok = ok and strict and chain
-    return _report("strata-poset", ok, detail)
+    cases = [
+        {"poset": "(0,4)", "nodes": [str(s) for s in nodes04],
+         "edges": poset04.edges, "ok": ok04},
+        {"poset": "(1,1)", "nodes": [str(s) for s in poset11.nodes],
+         "edges": poset11.edges, "ok": ok11},
+        {"poset": "(2,0)", "nodes": len(poset20.nodes),
+         "edges": len(poset20.edges), "strictly_decreasing": strict,
+         "simple_collision": chain},
+    ]
+    return CheckReport("strata-poset", ok04 and ok11 and strict and chain,
+                       cases=cases)
 
 
 # -- driver ------------------------------------------------------------------------
@@ -469,12 +482,11 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(printer=print):
-    results = []
+def run_all():
+    """Run the thirteen criteria, printing one PASS/FAIL line each."""
+    criteria = []
     for num, fn in ALL_CHECKS:
         rep = fn()
-        results.append(rep)
-        status = "PASS" if rep["passed"] else "FAIL"
-        printer(f"[{status}] criterion {num}: {rep['name']}")
-    passed = all(r["passed"] for r in results)
-    return {"passed": passed, "criteria": results}
+        print(f"[{'PASS' if rep.passed else 'FAIL'}] criterion {num}: {rep.name}")
+        criteria.append(rep.as_json())
+    return {"passed": all(r["passed"] for r in criteria), "criteria": criteria}

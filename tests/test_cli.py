@@ -53,6 +53,18 @@ def test_malformed_surface_exit_2(tmp_path, capsys):
     assert err["error"] in ("ClosureViolation", "GluingMismatch")
 
 
+@pytest.mark.parametrize("command", ["build", "cover"])
+def test_gluing_to_edge_of_no_triangle_exit_2(tmp_path, capsys, command):
+    raw = json.loads(bundled_surface_path("marked_torus").read_text())
+    raw["gluings"].append([2, 9, 1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run([command, str(bad), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "GluingMismatch"
+
+
 def _build_raw(tmp_path, raw):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(raw))
@@ -200,6 +212,10 @@ def test_strata_dot(tmp_path):
     assert len(data["nodes"]) == 1
 
 
+_REPORT_KEYS = {"name", "passed", "tolerance", "max_abs_err", "max_rel_err",
+                "cases"}
+
+
 def test_verify_targets(tmp_path):
     rep = tmp_path / "r.json"
     assert run(["verify", "demailly", "--report", str(rep)]) == 0
@@ -207,6 +223,59 @@ def test_verify_targets(tmp_path):
     assert run(["verify", "first-variation", "--count", "2",
                 "--report", str(rep)]) == 0
     assert run(["verify", "laplacian", "--count", "2"]) == 0
+    assert run(["verify", "disk", "--surface-name", "marked_torus",
+                "--report", str(rep)]) == 0
+    disk = json.loads(rep.read_text())
+    assert set(disk) == _REPORT_KEYS
+    assert [c["points"] for c in disk["cases"]] == [25]
+    assert run(["verify", "disk", "--surface",
+                str(bundled_surface_path("marked_torus")),
+                "--report", str(tmp_path / "r2.json")]) == 0
+    assert json.loads((tmp_path / "r2.json").read_text()) == disk
+    assert run(["verify", "thurston", "--count", "2",
+                "--report", str(rep)]) == 0
+    thurston = json.loads(rep.read_text())
+    assert [c["routes_equal"] for c in thurston["cases"]] == [2] * 4
+    for target in ("first-variation", "disk"):
+        svg = tmp_path / f"{target}.svg"
+        assert run(["verify", target, "--count", "1",
+                    "--emit-svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and "</svg>" in text
+
+
+def test_verify_all_report_shape(tmp_path, monkeypatch, capsys):
+    from qdlab import verify as V
+
+    monkeypatch.setattr(V, "ALL_CHECKS", [
+        ("1", V.check_dimension_identity), ("13", V.check_strata_poset)])
+    rep = tmp_path / "all.json"
+    assert run(["verify", "all", "--report", str(rep)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criterion 1: dimension-identity",
+        "[PASS] criterion 13: strata-poset"]
+    report = json.loads(rep.read_text())
+    assert set(report) == {"passed", "criteria"} and report["passed"]
+    assert [c["name"] for c in report["criteria"]] == [
+        "dimension-identity", "strata-poset"]
+    for crit in report["criteria"]:
+        assert set(crit) == _REPORT_KEYS and crit["passed"]
+
+
+@pytest.mark.parametrize("bad", [
+    ["--count", "0"], ["--count=-3"], ["--tol", "0"], ["--tol=-1"],
+    ["--tol", "nan"], ["--tol", "inf"], ["--suite", "bogus"]],
+    ids=["count_0", "count_neg", "tol_0", "tol_neg", "tol_nan", "tol_inf",
+         "suite_bogus"])
+def test_verify_bad_args_exit_2(capsys, bad):
+    for target in ("first-variation", "laplacian", "disk", "demailly",
+                   "thurston", "all"):
+        assert run(["verify", target, *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "InputFormatError"
 
 
 def test_verify_deterministic_report(tmp_path):
