@@ -9,6 +9,7 @@ Exit codes: 0 = success / all checks pass, 1 = a verification check failed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -188,9 +189,25 @@ def cmd_deform(args):
     return 0
 
 
+def _check_d0(d0):
+    if not (math.isfinite(d0) and d0 > 0):
+        raise InputFormatError(f"--d0 must be finite and positive, got {d0}")
+
+
+def _parse_lambda(text):
+    try:
+        lam = complex(text.replace("i", "j"))
+    except ValueError:
+        raise InputFormatError(f"--lambda is not a complex number: {text!r}") from None
+    if not cmath.isfinite(lam):
+        raise InputFormatError(f"--lambda must be finite, got {text!r}")
+    return lam
+
+
 def cmd_disk(args):
+    _check_d0(args.d0)
+    lam = _parse_lambda(args.lam)
     s = _load_surface_arg(args.surface)
-    lam = complex(args.lam.replace("i", "j")) if isinstance(args.lam, str) else args.lam
     surf, dist = teich_disk_point(s, args.d0, lam)
     out = {"distance": dist,
            "surface": None if surf is None else surface_to_dict(surf)}
@@ -216,6 +233,7 @@ def _check_verify_args(args):
         raise InputFormatError(f"--tol must be finite and positive, got {args.tol}")
     if args.suite != "bundled":
         raise InputFormatError(f"unknown suite {args.suite!r}")
+    _check_d0(args.d0)
 
 
 def cmd_verify(args):

@@ -29,7 +29,7 @@ from .errors import (
     TriangleFlip,
 )
 from .exact import QC, is_zero
-from .homology import HomologyData
+from .homology import HomologyData, homology_data
 from .periods import PeriodVector, period_map
 from .surface import FlatSurface, area, cross, derive_signs
 
@@ -179,7 +179,7 @@ def teich_disk_family(s: FlatSurface, d0: float) -> DeformationFamily:
     """Linearization of the Teichmuller disk at lambda=0: v1 = 0,
     v2 = u / sinh(2 d0)."""
     cov = build_cover(s)
-    hom = HomologyData(cov)
+    hom = homology_data(cov)
     u = period_map(cov, hom).to_float()
     sh = math.sinh(2.0 * d0)
     v2 = u.scale(1.0 / sh)

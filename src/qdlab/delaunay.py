@@ -98,19 +98,17 @@ def flippable(s: FlatSurface, e):
     return (cross(P1 - Q, P2 - Q) > 0) and (cross(P0 - P2, Q - P2) > 0)
 
 
+def _violates(s: FlatSurface, r):
+    """True if the edge pair with representative r = min(e, glue(e)) fails
+    the non-strict incircle test; a pair on one triangle never does."""
+    return (s.triangle_of(r) != s.triangle_of(s.glue[r])
+            and incircle_certificate(s, r) > 0)
+
+
 def is_delaunay(s: FlatSurface):
-    """(bool, violating edge list): non-strict local circumcircle test."""
-    bad = []
-    seen = set()
-    for e in s.edges():
-        f = s.glue[e]
-        if f in seen:
-            continue
-        seen.add(e)
-        if s.triangle_of(e) == s.triangle_of(f):
-            continue
-        if incircle_certificate(s, e) > 0:
-            bad.append(e)
+    """(bool, violating edge list): non-strict local circumcircle test.
+    The list holds the representative of each violating pair, ascending."""
+    bad = [e for e in s.edges() if e < s.glue[e] and _violates(s, e)]
     return (not bad), bad
 
 
@@ -181,6 +179,7 @@ def delaunayize(s: FlatSurface, max_rounds=None):
         ok, bad = is_delaunay(cur)
         if ok:
             return cur, records
+        violations = len(bad)
         progressed = False
         for e in bad:
             if steps >= max_rounds:
@@ -196,15 +195,18 @@ def delaunayize(s: FlatSurface, max_rounds=None):
                 # a Delaunay violation on a flippable-geometry quad is always
                 # strictly convex; this guard only matters for float noise
                 continue
-            nb_before = len(is_delaunay(cur)[1])
+            # the flip changes the quads of the pairs with an edge on the two
+            # flipped triangles (the same six edge ids before and after) and
+            # of no other pair, so only those need a new incircle test
+            touched = {min(h, cur.glue[h]) for t in (e, cur.glue[e])
+                       for h in cur.triangles[cur.triangle_of(t)]}
+            nb_before = violations
+            violations -= sum(_violates(cur, r) for r in touched)
             cur = flip_edge(cur, e)
             steps += 1
             after = incircle_certificate(cur, e)
-            nb_after = len(is_delaunay(cur)[1])
-            records.append(FlipRecord(e, cert, after, nb_before, nb_after))
+            violations += sum(_violates(cur, r) for r in touched)
+            records.append(FlipRecord(e, cert, after, nb_before, violations))
             progressed = True
         if not progressed:
-            ok, bad = is_delaunay(cur)
-            if ok:
-                return cur, records
             raise NonTerminating("no admissible flip but violations remain")

@@ -30,8 +30,10 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable, so keep it; Fraction(x) would copy it
+        # through the slow generic path of Fraction.__new__
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):

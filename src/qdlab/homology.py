@@ -182,10 +182,17 @@ class _CycleBasis:
 
 
 class HomologyData:
-    """Chain-level data of a double cover; immutable after construction."""
+    """Chain-level data of a double cover; immutable after construction.
+
+    Nothing here reads an edge vector: the data is a function of the
+    cover's triangles and gluing and of the lifted Sigma_ub, which is what
+    ``basis_tag`` hashes.  Of the cover only ``cover_surface`` is kept,
+    never the :class:`DoubleCover` or its base: the base surface holds its
+    homology (see :func:`homology_data`), and a reference back to it would
+    make a reference cycle that only the cyclic garbage collector frees.
+    """
 
     def __init__(self, cover: DoubleCover):
-        self.cover = cover
         c = cover.cover_surface
         self.csurf = c
 
@@ -238,6 +245,14 @@ class HomologyData:
         self.comparison = self._comparison_map()
 
         self._pairs, self._pair_coeff = self._pair_structure()
+        # one triangle per involution orbit: their boundaries are the
+        # closedness rows of the anti-invariant cochain systems
+        self._orbit_triangles = []
+        seen_tris = set()
+        for t in range(nt):
+            if t not in seen_tris:
+                seen_tris.update((t, cover.involution_triangle(t)))
+                self._orbit_triangles.append(t)
         m = len(self.abs_minus_basis)
         self._dual_cocycles = self._anti_invariant_cochains(
             self.abs_minus_basis,
@@ -255,7 +270,7 @@ class HomologyData:
         self.J = [[-Ginv[i][j] for j in range(m)] for i in range(m)] if m else []
         self.Jinv = [[-G[i][j] for j in range(m)] for i in range(m)] if m else []
 
-        self.basis_tag = self._make_tag()
+        self.basis_tag = self._make_tag(cover.base)
 
     # -- chains ---------------------------------------------------------------
     def _chain(self, directed_edge):
@@ -318,8 +333,7 @@ class HomologyData:
             raise InconsistentFunctional("comparison map undefined")
         return [[R[j][m + i] for j in range(m)] for i in range(len(absm))]
 
-    def _make_tag(self):
-        base = self.cover.base
+    def _make_tag(self, base):
         payload = {
             "triangles": [list(t) for t in base.triangles],
             "gluings": sorted((min(e, f), max(e, f), base.sign[e])
@@ -398,14 +412,8 @@ class HomologyData:
         """:meth:`anti_invariant_cochain` for several value lists of equal
         length, sharing one elimination."""
         npair = len(self._pairs)
-        rows = []
-        seen_tris = set()
-        for t in range(len(self.csurf.triangles)):
-            if t in seen_tris:
-                continue
-            seen_tris.add(t)
-            seen_tris.add(self.cover.involution_triangle(t))
-            rows.append(self._cochain_row(self._boundaries[t]))
+        rows = [self._cochain_row(self._boundaries[t])
+                for t in self._orbit_triangles]
         ncons = len(rows)
         nval = min([len(cycles)] + [len(v) for v in value_sets])
         rows += [self._cochain_row(z) for z in cycles[:nval]]
@@ -483,7 +491,17 @@ class HomologyData:
 
 
 def homology_data(cover: DoubleCover) -> HomologyData:
-    return HomologyData(cover)
+    """The homology of ``cover``, built once per base surface.
+
+    Every double cover of one base surface has the same combinatorics, so
+    the first :class:`HomologyData` built is kept on the base surface and
+    returned for each later cover of it.  The surface owns it, so it is freed
+    with the surface.
+    """
+    base = cover.base
+    if base._homology is None:
+        base._homology = HomologyData(cover)
+    return base._homology
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ class FlatSurface:
         "_vertices",
         "_orders",
         "_components",
+        "_homology",
     )
 
     def __init__(self, triangles, vec, glue, sign, marked, mode, _validate=True):
@@ -128,6 +129,7 @@ class FlatSurface:
         self._vertices = vertices
         self._orders = None
         self._components = None
+        self._homology = None  # set by homology.homology_data
 
     # -- validation --------------------------------------------------------
     def _validate(self):

@@ -264,9 +264,10 @@ def test_verify_all_report_shape(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("bad", [
     ["--count", "0"], ["--count=-3"], ["--tol", "0"], ["--tol=-1"],
-    ["--tol", "nan"], ["--tol", "inf"], ["--suite", "bogus"]],
+    ["--tol", "nan"], ["--tol", "inf"], ["--suite", "bogus"],
+    ["--d0=-1"], ["--d0", "0"], ["--d0", "nan"], ["--d0", "inf"]],
     ids=["count_0", "count_neg", "tol_0", "tol_neg", "tol_nan", "tol_inf",
-         "suite_bogus"])
+         "suite_bogus", "d0_neg", "d0_0", "d0_nan", "d0_inf"])
 def test_verify_bad_args_exit_2(capsys, bad):
     for target in ("first-variation", "laplacian", "disk", "demailly",
                    "thurston", "all"):
@@ -276,6 +277,22 @@ def test_verify_bad_args_exit_2(capsys, bad):
         err = captured.err.strip().splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("bad", [
+    ["--d0=-1", "--lambda", "0.1"], ["--d0", "nan", "--lambda", "0.1"],
+    ["--d0", "inf", "--lambda", "0.1"], ["--d0", "0.7", "--lambda=nan"],
+    ["--d0", "0.7", "--lambda=1e400"], ["--d0", "0.7", "--lambda=x"]],
+    ids=["d0_neg", "d0_nan", "d0_inf", "lambda_nan", "lambda_inf",
+         "lambda_garbage"])
+def test_disk_bad_args_exit_2(tmp_path, capsys, bad):
+    out = tmp_path / "d.json"
+    assert run(["disk", str(bundled_surface_path("marked_torus")), *bad,
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "InputFormatError"
 
 
 def test_verify_deterministic_report(tmp_path):

@@ -109,3 +109,35 @@ def test_random_small_surfaces_property(seed=101):
             assert symbol(d) == symbol(v)
             for r in recs:
                 assert r.incircle_before > 0 >= r.incircle_after
+
+
+def _flip_inputs():
+    for name in bundled_names():
+        base = bundled_surface(name)
+        for k in range(3):
+            rng = random.Random(f"{name}/{k}")
+            yield f"{name}/flip{k}", random_flip_variant(base, rng, rng.randint(1, 8))
+            v = random_deform_variant(base, rng)
+            yield f"{name}/deform{k}", random_flip_variant(v, rng, rng.randint(1, 6))
+    for shear in (Fraction(1, 10), Fraction(7, 2), Fraction(-5, 2), Fraction(23, 3)):
+        yield f"skew{shear}", skewed_torus(shear)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flip_record_violation_counts_match_rescan(mode):
+    # delaunayize counts violations incrementally; replay its flips and
+    # count them with a full is_delaunay scan of the surfaces around each flip
+    flips = 0
+    for label, s in _flip_inputs():
+        if mode == "float":
+            s = s.to_float()
+        d, recs = delaunayize(s)
+        cur = s
+        for r in recs:
+            before = len(is_delaunay(cur)[1])
+            cur = flip_edge(cur, r.edge)
+            after = len(is_delaunay(cur)[1])
+            assert (r.violations_before, r.violations_after) == (before, after), label
+        assert cur.triangles == d.triangles and cur.vec == d.vec, label
+        flips += len(recs)
+    assert flips > 50

@@ -197,17 +197,16 @@ def test_minus_basis_chainlevel_antiinvariant():
 
 # -- oracle: the dense row-reduction kernel, one exact solve per cycle --------
 
-def _oracle(h):
-    """HomologyData's public outputs rebuilt by dense Fraction elimination:
-    nullspace of d1, greedy reduction modulo triangle boundaries, and
-    ``exact.solve`` for every expressed cycle.  Of ``h`` only the cover, the
-    cochain lift and the cup product are used."""
+def _oracle(h, cover):
+    """HomologyData's public outputs rebuilt from ``cover`` by dense Fraction
+    elimination: nullspace of d1, greedy reduction modulo triangle
+    boundaries, and ``exact.solve`` for every expressed cycle.  Of ``h`` only
+    the cochain lift and the cup product are used."""
     import hashlib
     import json
 
     from qdlab.exact import mat_inverse, nullspace, solve
 
-    cover = h.cover
     c = cover.cover_surface
     reps = sorted({min(e, c.glue[e]) for e in c.edges()})
     index = {r: i for i, r in enumerate(reps)}
@@ -311,8 +310,9 @@ def test_forest_cotree_kernel_matches_elimination_oracle(name, flip_seed):
     if flip_seed is not None:
         rng = random.Random(flip_seed)
         surf = random_flip_variant(surf, rng, rng.randint(1, 5))
-    h = homology_data(build_cover(surf))
-    o = _oracle(h)
+    cover = build_cover(surf)
+    h = homology_data(cover)
+    o = _oracle(h, cover)
     for field in ("abs_basis", "rel_basis", "iota_abs", "iota_rel",
                   "abs_minus_basis", "rel_minus_basis", "comparison", "J",
                   "Jinv"):
@@ -382,3 +382,35 @@ def test_anti_invariant_cochain_normal_form(name, flip_seed):
     z = h.abs_minus_basis[0]
     with pytest.raises(InconsistentFunctional):
         h.anti_invariant_cochain([z, z], [QC(1), QC(2)])
+
+
+def test_homology_built_once_per_surface():
+    from qdlab.builders import random_flip_variant
+
+    s = bundled_surface("genus2_generic")
+    h = homology_data(build_cover(s))
+    assert homology_data(build_cover(s)) is h
+    v = random_flip_variant(s, random.Random(3), 3)
+    hv = homology_data(build_cover(v))
+    assert hv is not h and hv.basis_tag != h.basis_tag
+    assert homology_data(build_cover(v)) is hv
+
+
+def test_dropped_surface_frees_its_homology_without_gc():
+    # the surface holds its homology; if the homology referred back to the
+    # surface or its cover, freeing a dropped variant would wait for the
+    # cyclic garbage collector
+    import gc
+    import weakref
+
+    from qdlab.builders import random_flip_variant
+
+    gc.disable()
+    try:
+        v = random_flip_variant(bundled_surface("l_origami"), random.Random(5), 4)
+        ref = weakref.ref(homology_data(build_cover(v)))
+        assert ref() is not None
+        del v
+        assert ref() is None
+    finally:
+        gc.enable()
