@@ -47,7 +47,7 @@ def _square_triangles(e0):
     return tris, vecs
 
 
-def _assemble(squares, extra_gluings, marked=(), mode="exact"):
+def _assemble(squares, extra_gluings, marked=()):
     tris, vecs, glu = [], {}, []
     for e0 in squares:
         t, v = _square_triangles(e0)
@@ -55,7 +55,7 @@ def _assemble(squares, extra_gluings, marked=(), mode="exact"):
         vecs.update(v)
         glu.append((e0 + 2, e0 + 3, 1))
     glu.extend(extra_gluings)
-    return make_surface(tris, vecs, glu, marked, mode)
+    return make_surface(tris, vecs, glu, marked)
 
 
 def marked_torus() -> FlatSurface:

@@ -168,8 +168,14 @@ def cmd_periods(args):
 
 
 def cmd_flow(args):
+    if not math.isfinite(args.t):
+        raise InputFormatError(f"--t must be finite, got {args.t}")
     s = _load_surface_arg(args.surface)
-    out = geodesic_flow(s, args.t)
+    try:
+        out = geodesic_flow(s, args.t)
+    except OverflowError:
+        raise InputFormatError(f"--t {args.t} scales the surface out of "
+                               "floating-point range") from None
     _emit(surface_to_dict(out), args.out)
     _maybe_svg(out, args.emit_svg)
     return 0
@@ -218,6 +224,9 @@ def cmd_disk(args):
 
 
 def cmd_strata(args):
+    for flag, value in (("--g", args.g), ("--m", args.m)):
+        if value < 0:
+            raise InputFormatError(f"{flag} must be nonnegative, got {value}")
     poset = SymbolPoset(args.g, args.m)
     if args.dot:
         with open(args.dot, "w") as fh:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputFormatError, SurfaceError
+from .errors import GluingMismatch, InputFormatError, SurfaceError
 from .surface import FlatSurface
 
 
@@ -92,33 +92,19 @@ class DoubleCover:
                 v = base.vec[e] if sheet == 0 else -base.vec[e]
                 vec[self.lift_edge(e, sheet)] = v
 
-        gluings = []
-        seen = set()
+        glue = {}
         for e in base_edges:
-            f = base.glue[e]
-            if (f, e) in seen:
-                continue
-            seen.add((e, f))
             flip = base.sign[e] < 0
             for sheet in (0, 1):
-                other = sheet ^ 1 if flip else sheet
-                gluings.append((self.lift_edge(e, sheet), self.lift_edge(f, other), 1))
+                glue[self.lift_edge(e, sheet)] = self.lift_edge(base.glue[e],
+                                                                sheet ^ flip)
 
-        # lift marked points (every preimage of a marked base vertex) before
-        # validating, since validation wants poles and counts marked
-        glue_map, sign_map = {}, {}
-        for e, f, sg in gluings:
-            glue_map[e], glue_map[f] = f, e
-            sign_map[e] = sign_map[f] = sg
-        draft = FlatSurface(cover_tris, vec, glue_map, sign_map, (), base.mode,
-                            _validate=False)
-        marked_up = set()
-        for cv in draft.vertices():
-            e, _ = self.project_edge(cv)
-            if base.vertex_at_tail(e) in base.marked:
-                marked_up.add(cv)
-        self.cover_surface = FlatSurface(cover_tris, vec, glue_map, sign_map,
-                                         marked_up, base.mode)
+        # every preimage of a marked base vertex v is marked: v is also an
+        # edge id, and its two lifts have their tails on all the preimages
+        marked_up = [self.lift_edge(v, sheet) for v in base.marked
+                     for sheet in (0, 1)]
+        self.cover_surface = FlatSurface(cover_tris, vec, glue, marked_up,
+                                         base.mode)
 
         self.classification = classify_points(base)
         self._vertex_fiber = {}
@@ -164,6 +150,8 @@ class DoubleCover:
     # -- consistency --------------------------------------------------------
     def _check(self):
         c = self.cover_surface
+        if any(sg != 1 for sg in c.sign.values()):
+            raise GluingMismatch("cover gluing is not a translation")
         for f in c.edges():
             g = self.involution_edge(f)
             if c.vec[g] != -c.vec[f] and self.base.mode == "exact":

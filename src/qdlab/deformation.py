@@ -28,10 +28,10 @@ from .errors import (
     SurfaceError,
     TriangleFlip,
 )
-from .exact import QC, is_zero
+from .exact import is_zero
 from .homology import HomologyData, homology_data
 from .periods import PeriodVector, period_map
-from .surface import FlatSurface, area, cross, derive_signs
+from .surface import FlatSurface, area, cross
 
 
 @dataclass(frozen=True)
@@ -53,21 +53,6 @@ class DeformationFamily:
             if v.basis_tag != self.homology.basis_tag:
                 raise BasisMismatch("family direction bound to a different basis")
 
-    def period_at(self, lam):
-        """u + lambda v1 + conj(lambda) v2 (exact when everything is exact)."""
-        lam_c = lam
-        if isinstance(lam, complex) and self.u.mode == "exact":
-            raise BasisMismatch("float lambda on an exact family; convert first")
-        v1 = self.v1.scale(lam_c)
-        v2 = self.v2.scale(_conj_scalar(lam_c))
-        return self.u + v1 + v2
-
-
-def _conj_scalar(lam):
-    if isinstance(lam, QC):
-        return lam.conjugate()
-    return complex(lam).conjugate()
-
 
 # ---------------------------------------------------------------------------
 # Teichmuller geodesic flow
@@ -82,8 +67,7 @@ def geodesic_flow(s: FlatSurface, t: float) -> FlatSurface:
     for e, v in s.vec.items():
         c = complex(v)
         new_vec[e] = complex(c.real, k * c.imag)
-    out = s.to_float()
-    return out.with_edge_vectors(new_vec, mode="float")
+    return s.with_edge_vectors(new_vec, mode="float")
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +106,7 @@ def affine_deform(c: DoubleCover, h: HomologyData, v: PeriodVector) -> DoubleCov
     base = c.base
     new_base_vec = {e: new_cover_vec[c.lift_edge(e, 0)] for e in base.edges()}
     try:
-        sign = derive_signs(base.glue, new_base_vec, base.mode)
-        new_base = FlatSurface(base.triangles, new_base_vec, base.glue, sign,
-                               base.marked, base.mode)
+        new_base = base.with_edge_vectors(new_base_vec)
     except DegenerateTriangle as exc:
         raise TriangleFlip(str(exc)) from exc
     new_cover = DoubleCover(new_base)
@@ -161,9 +143,8 @@ def teich_disk_point(s: FlatSurface, d0: float, lam: complex):
         return None, 0.0
     nrm = float(area(s))
     factor = complex(m) ** 0.5 / nrm ** 0.5
-    sf = s.to_float()
-    new_vec = {e: factor * complex(v) for e, v in sf.vec.items()}
-    return sf.with_edge_vectors(new_vec, mode="float"), dist
+    new_vec = {e: factor * complex(v) for e, v in s.vec.items()}
+    return s.with_edge_vectors(new_vec, mode="float"), dist
 
 
 def fiber_distance(s: FlatSurface) -> float:

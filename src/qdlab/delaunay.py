@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateTriangle, NonTerminating
-from .surface import FlatSurface, cross, derive_signs
+from .surface import FlatSurface, cross
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,14 @@ def flip_edge(s: FlatSurface, e) -> FlatSurface:
     new_vec[f] = -G
 
     # marked vertices are named by corner orbits, which the flip reshuffles;
-    # track each one through an incident edge that keeps its tail
-    stable = {}
+    # pass each one on as an incident edge that keeps its tail
+    anchors = []
     for v in s.marked:
-        anchors = [h for h in s.vertex_corners(v) if h not in (e, f)]
-        if not anchors:
+        keep = [h for h in s.vertex_corners(v) if h not in (e, f)]
+        if not keep:
             raise DegenerateTriangle("marked vertex carried only by the diagonal")
-        stable[v] = min(anchors)
-
-    base = FlatSurface(new_tris, new_vec, s.glue, s.sign, (), s.mode,
-                       _validate=False)
-    new_marked = {base.vertex_at_tail(h) for h in stable.values()}
-    sign = derive_signs(s.glue, new_vec, s.mode)
-    return FlatSurface(new_tris, new_vec, s.glue, sign, new_marked, s.mode)
+        anchors.append(keep[0])
+    return FlatSurface(new_tris, new_vec, s.glue, anchors, s.mode)
 
 
 def delaunayize(s: FlatSurface, max_rounds=None):

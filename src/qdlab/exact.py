@@ -117,10 +117,6 @@ QC_ONE = QC(1, 0)
 QC_I = QC(0, 1)
 
 
-def qc(re, im=0):
-    return QC(re, im)
-
-
 # ---------------------------------------------------------------------------
 # generic field helpers: these work for Fraction and QC alike
 # ---------------------------------------------------------------------------

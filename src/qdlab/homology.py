@@ -409,17 +409,18 @@ class HomologyData:
         return self._anti_invariant_cochains(cycles, [values])[0]
 
     def _anti_invariant_cochains(self, cycles, value_sets):
-        """:meth:`anti_invariant_cochain` for several value lists of equal
-        length, sharing one elimination."""
+        """:meth:`anti_invariant_cochain` for several value lists, one value
+        per cycle, sharing one elimination."""
+        if any(len(values) != len(cycles) for values in value_sets):
+            raise BasisMismatch(f"{len(cycles)} cycles need as many values")
         npair = len(self._pairs)
         rows = [self._cochain_row(self._boundaries[t])
                 for t in self._orbit_triangles]
         ncons = len(rows)
-        nval = min([len(cycles)] + [len(v) for v in value_sets])
-        rows += [self._cochain_row(z) for z in cycles[:nval]]
+        rows += [self._cochain_row(z) for z in cycles]
         # right-hand sides: the values on the cycle rows, zero elsewhere
         zeros = [values[0] * 0 if len(values) else F0 for values in value_sets]
-        rhs = [[zero] * ncons + list(values[:nval])
+        rhs = [[zero] * ncons + list(values)
                for zero, values in zip(zeros, value_sets)]
         # pair variables in descending order, so the free columns are the
         # lowest-index ones
@@ -441,8 +442,6 @@ class HomologyData:
     def cocycle_functional(self, values, space="absolute"):
         """Closed anti-invariant cochain realizing a functional on a minus basis."""
         basis = self.abs_minus_basis if space == "absolute" else self.rel_minus_basis
-        if len(values) != len(basis):
-            raise BasisMismatch("functional length does not match basis rank")
         return self.anti_invariant_cochain(basis, list(values))
 
     def cochain_on_edge(self, cochain, directed_edge):
@@ -515,6 +514,10 @@ def _absolute_coords(h: HomologyData, x):
         raise BasisMismatch("wedge expects PeriodVector inputs")
     if x.basis_tag != h.basis_tag:
         raise BasisMismatch("period vector bound to a different basis")
+    basis = h.abs_minus_basis if x.space == "absolute" else h.rel_minus_basis
+    if len(x.coords) != len(basis):
+        raise BasisMismatch(f"{x.space} vector has {len(x.coords)} coordinates, "
+                            f"rank is {len(basis)}")
     if x.space == "absolute":
         return list(x.coords)
     # restrict a relative functional along the comparison map

@@ -113,10 +113,6 @@ def save_surface(s: FlatSurface, path):
     dump_json(surface_to_dict(s), path)
 
 
-def load_surface(path) -> FlatSurface:
-    return surface_from_dict(load_json(path))
-
-
 # -- period vectors ----------------------------------------------------------
 
 def vector_to_dict(pv):

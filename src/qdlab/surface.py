@@ -11,14 +11,16 @@ carries a sign sigma in {+1, -1}:
 sigma = -1 means the square-root branch flips across that edge (the transition
 is z -> -z + c instead of a translation).  The sign assignment is exactly the
 Z/2 cocycle whose triviality decides whether the differential is a global
-square.
+square.  Since no edge vector is zero, the vectors fix sigma, so a surface
+derives its signs instead of taking them as input.
 
 Vertices are not part of the input: they are the orbits of the corner walk
 ``e -> glue(prev(e))`` and are named by the smallest directed-edge id whose
 tail sits at the vertex.  Cone angles are integer multiples of pi; the
 integer order ``o_p = angle/pi - 2`` is computed exactly in rational mode by
-tracking real-axis crossings of a cumulative product of corner rotations
-(every corner of a nondegenerate triangle turns by strictly less than pi, so
+developing the corner star into one chart and counting the real-axis
+crossings of each developed edge direction against the first edge (every
+corner of a nondegenerate triangle turns by strictly less than pi, so
 crossings count multiples of pi exactly).
 """
 
@@ -58,8 +60,9 @@ class FlatSurface:
     """Validated triangulated half-translation surface.
 
     Instances are immutable after construction; every operation returns a new
-    surface.  Use :func:`build_surface` (raw dict) or :func:`make_surface`
-    (programmatic) instead of calling the constructor directly.
+    surface.  Outside input goes through :func:`build_surface` (raw dict) or
+    :func:`make_surface` (programmatic), which also check the declared signs
+    and marked vertex ids.
     """
 
     __slots__ = (
@@ -79,17 +82,16 @@ class FlatSurface:
         "_homology",
     )
 
-    def __init__(self, triangles, vec, glue, sign, marked, mode, _validate=True):
+    def __init__(self, triangles, vec, glue, marked, mode):
+        """``marked`` holds, per marked vertex, any directed edge whose tail
+        sits on it; the gluing signs are derived from the vectors."""
         self.triangles = tuple(tuple(t) for t in triangles)
         self.vec = dict(vec)
         self.glue = dict(glue)
-        self.sign = dict(sign)
         self.mode = mode
         self._build_incidence()
         self._build_vertices()
-        self.marked = frozenset(marked)
-        if _validate:
-            self._validate()
+        self._validate(marked)
 
     # -- combinatorial incidence -----------------------------------------
     def _build_incidence(self):
@@ -132,7 +134,7 @@ class FlatSurface:
         self._homology = None  # set by homology.homology_data
 
     # -- validation --------------------------------------------------------
-    def _validate(self):
+    def _validate(self, marked):
         edges = set(self._tri_of)
         if set(self.vec) != edges:
             raise GluingMismatch("edge-vector table does not match triangle edges")
@@ -143,9 +145,6 @@ class FlatSurface:
                 raise GluingMismatch(f"edge {e} glued to itself")
             if self.glue.get(f) != e:
                 raise GluingMismatch(f"gluing not involutive at ({e}, {f})")
-            s = self.sign.get(e)
-            if s not in (1, -1) or self.sign.get(f) != s:
-                raise GluingMismatch(f"bad sign on gluing ({e}, {f})")
         for ti, (a, b, c) in enumerate(self.triangles):
             va, vb, vcv = self.vec[a], self.vec[b], self.vec[c]
             for e, v in ((a, va), (b, vb), (c, vcv)):
@@ -161,19 +160,27 @@ class FlatSurface:
                     raise ClosureViolation(f"triangle {ti} does not close")
             if cross(va, vb) <= 0:
                 raise DegenerateTriangle(f"triangle {ti} not positively oriented")
+        # the gluing relation vec(e') = -sigma*vec(e) fixes sigma
+        self.sign = {}
         for e, f in self.glue.items():
-            lhs = self.vec[f]
-            rhs = -self.sign[e] * self.vec[e]
-            diff = lhs - rhs
+            ve, vf = self.vec[e], self.vec[f]
             if self.mode == "exact":
-                if not is_zero(diff):
-                    raise GluingMismatch(f"vec({f}) != -sigma*vec({e})")
+                if vf == -ve:
+                    self.sign[e] = 1
+                elif vf == ve:
+                    self.sign[e] = -1
             else:
-                if abs(complex(diff)) > 1e-9 * max(1.0, abs(complex(lhs))):
-                    raise GluingMismatch(f"vec({f}) != -sigma*vec({e})")
-        for v in self.marked:
-            if v not in self._vertices:
-                raise SurfaceError(f"marked vertex {v} is not a vertex id")
+                tol = 1e-9 * max(1.0, abs(complex(vf)))
+                if abs(complex(vf + ve)) <= tol:
+                    self.sign[e] = 1
+                elif abs(complex(vf - ve)) <= tol:
+                    self.sign[e] = -1
+            if e not in self.sign:
+                raise GluingMismatch(f"vec({f}) != +-vec({e})")
+        for e in marked:
+            if e not in self._vertex_of:
+                raise SurfaceError(f"marked vertex {e} is not a vertex id")
+        self.marked = frozenset(self._vertex_of[e] for e in marked)
         for v, o in self.orders().items():
             if o < -1:
                 raise NonIntegerOrder(f"vertex {v} has order {o} < -1")
@@ -283,24 +290,29 @@ class FlatSurface:
         return self._vertex_order_float(corner_edges)
 
     def _vertex_order_exact(self, corner_edges):
-        # cumulative product of corner rotations w*conj(u); count real-axis
-        # events (each corner turns by less than pi, so events = multiples of
-        # pi swept).
-        q = QC(1, 0)
+        # develop the corner star into the chart of the first edge u0: the
+        # corner at e turns vec(e) counterclockwise onto w = -vec(prev(e)),
+        # and the gluing sign across prev(e) carries the chart on.  Count the
+        # real-axis events of the developed direction relative to u0 (each
+        # corner turns by less than pi, so events = multiples of pi swept).
+        u0 = self.vec[corner_edges[0]]
+        chart = 1
+        side = 0
         events = 0
         for e in corner_edges:
-            u = self.vec[e]
-            w = -self.vec[self._prev[e]]
-            z = w * u.conjugate()
-            if z.im <= 0:
+            p = self._prev[e]
+            w = -self.vec[p]
+            if cross(self.vec[e], w) <= 0:
                 raise DegenerateTriangle("corner with nonpositive turn")
-            prev_im = q.im
-            q = q * z
-            if (prev_im > 0 and q.im <= 0) or (prev_im < 0 and q.im >= 0):
+            prev_side = side
+            side = chart * cross(u0, w)
+            if (prev_side > 0 and side <= 0) or (prev_side < 0 and side >= 0):
                 events += 1
-        if q.im != 0:
+            chart *= self.sign[p]
+        if side != 0:
             raise NonIntegerOrder("cone angle is not an integer multiple of pi")
-        if (q.re > 0) != (events % 2 == 0):
+        # the walk closes on chart*u0, so chart is the sign of the turn
+        if (chart > 0) != (events % 2 == 0):
             raise NonIntegerOrder("inconsistent holonomy around vertex")
         return events - 2
 
@@ -323,56 +335,26 @@ class FlatSurface:
         return k - 2
 
     # -- rebuilders -----------------------------------------------------------
-    def with_edge_vectors(self, new_vec, mode=None, marked=None):
+    def with_edge_vectors(self, new_vec, mode=None):
         """New surface with the same combinatorics and fresh edge vectors.
 
         Gluing signs are re-derived from the new vectors (vec(e') must equal
         +-vec(e) exactly); this keeps deformations honest.
         """
-        mode = mode or self.mode
-        sign = derive_signs(self.glue, new_vec, mode)
-        return FlatSurface(self.triangles, new_vec, self.glue, sign,
-                           self.marked if marked is None else marked, mode)
+        return FlatSurface(self.triangles, new_vec, self.glue, self.marked,
+                           mode or self.mode)
 
     def scaled(self, factor):
         """Scale every edge vector by a scalar (real or complex)."""
-        new_vec = {e: factor * v for e, v in self.vec.items()}
-        mode = self.mode
-        if mode == "exact" and not isinstance(factor, (int, Fraction, QC)):
-            mode = "float"
-            new_vec = {e: complex(factor) * complex(v) for e, v in self.vec.items()}
-        return FlatSurface(self.triangles, new_vec, self.glue, self.sign,
-                           self.marked, mode)
+        if self.mode == "exact" and not isinstance(factor, (int, Fraction, QC)):
+            return self.to_float().scaled(complex(factor))
+        return self.with_edge_vectors({e: factor * v for e, v in self.vec.items()})
 
     def to_float(self):
         if self.mode == "float":
             return self
-        new_vec = {e: complex(v) for e, v in self.vec.items()}
-        return FlatSurface(self.triangles, new_vec, self.glue, self.sign,
-                           self.marked, "float")
-
-
-def derive_signs(glue, vec, mode):
-    """Recover the +-1 gluing cocycle from vec(e') = -sigma*vec(e)."""
-    sign = {}
-    for e, f in glue.items():
-        ve, vf = vec[e], vec[f]
-        if mode == "exact":
-            if vf == -ve:
-                sign[e] = 1
-            elif vf == ve:
-                sign[e] = -1
-            else:
-                raise GluingMismatch("vectors break the gluing relation")
-        else:
-            ce, cf = complex(ve), complex(vf)
-            if abs(cf + ce) <= 1e-9 * max(1.0, abs(ce)):
-                sign[e] = 1
-            elif abs(cf - ce) <= 1e-9 * max(1.0, abs(ce)):
-                sign[e] = -1
-            else:
-                raise GluingMismatch("vectors break the gluing relation")
-    return sign
+        return self.with_edge_vectors({e: complex(v) for e, v in self.vec.items()},
+                                      mode="float")
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +370,8 @@ class StratumSymbol:
     n_zeros: tuple  # sorted tuple of (order, count), orders >= 1
     epsilon: int
 
-    def zero_map(self):
-        return dict(self.n_zeros)
-
     def order_sum(self):
         return -self.n_poles + sum(l * n for l, n in self.n_zeros)
-
-    def num_singular(self):
-        return self.n_poles + sum(n for _, n in self.n_zeros)
 
     def as_json(self):
         return {
@@ -430,12 +406,23 @@ def make_surface(triangles, vectors, gluings, marked=(), mode="exact"):
     """Programmatic constructor.
 
     ``gluings`` is an iterable of (e, e', sign); both directions are stored.
+    Each declared sign must be the one the vectors fix, and each marked id
+    must be a vertex id.
     """
     glue, sign = {}, {}
     for e, f, s in gluings:
         glue[e], glue[f] = f, e
         sign[e] = sign[f] = s
-    return FlatSurface(triangles, vectors, glue, sign, marked, mode)
+    marked = list(marked)
+    s = FlatSurface(triangles, vectors, glue, marked, mode)
+    for e, f in glue.items():
+        if sign[e] != s.sign[e]:
+            raise GluingMismatch(f"vec({f}) != -sigma*vec({e}) for the declared "
+                                 f"sign {sign[e]!r}")
+    for v in marked:
+        if v not in s.marked:
+            raise SurfaceError(f"marked vertex {v} is not a vertex id")
+    return s
 
 
 def area(s: FlatSurface):

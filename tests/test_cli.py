@@ -91,7 +91,16 @@ _BAD_JSON = {
     "cover_list": (["homology"], "[1]"),
     "cover_no_base": (["homology"], '{"cover": {}}'),
     "hom_list": (["periods", "COVER"], "[1]"),
+    # the pillowcase cover has relative minus rank 2; "TAG" stands for its
+    # basis tag
+    "vector_short": (["deform", "COVER", "--v"],
+                     '{"basis_tag": "TAG", "coords": [{"re": "1/10", "im": "0"}]}'),
+    "vector_long": (["deform", "COVER", "--v"],
+                    '{"basis_tag": "TAG", "coords": ['
+                    + ", ".join(['{"re": "1/10", "im": "0"}'] * 3) + ']}'),
 }
+# the error a malformed JSON input raises, when not InputFormatError
+_BAD_JSON_ERROR = {"vector_short": "BasisMismatch", "vector_long": "BasisMismatch"}
 
 
 @pytest.mark.parametrize("spoil", ["edges_list", "nan", "inf", *_BAD_JSON])
@@ -101,6 +110,10 @@ def test_bad_input_exit_2_json_error(tmp_path, capsys, spoil):
         cov = tmp_path / "cover.json"
         assert run(["cover", str(bundled_surface_path("pillowcase")),
                     "--out", str(cov)]) == 0
+        if "TAG" in text:
+            hom = tmp_path / "hom.json"
+            assert run(["homology", str(cov), "--out", str(hom)]) == 0
+            text = text.replace("TAG", json.loads(hom.read_text())["basis_tag"])
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         args = [str(cov) if a == "COVER" else a for a in args] + [str(bad)]
@@ -115,6 +128,41 @@ def test_bad_input_exit_2_json_error(tmp_path, capsys, spoil):
             raw["edges"]["0"] = {"re": spoil, "im": "0"}
         assert _build_raw(tmp_path, raw) == 2
     err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == _BAD_JSON_ERROR.get(spoil,
+                                                             "InputFormatError")
+
+
+@pytest.mark.parametrize("spoil", ["sign_flipped", "marked_not_vertex_id"])
+def test_build_checks_declared_sign_and_marked_ids(tmp_path, capsys, spoil):
+    raw = json.loads(bundled_surface_path("marked_torus").read_text())
+    if spoil == "sign_flipped":
+        raw["gluings"][0][2] *= -1
+        expected = "GluingMismatch"
+    else:
+        raw["marked"] = [1]
+        expected = "SurfaceError"
+    assert _build_raw(tmp_path, raw) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == expected
+
+
+@pytest.mark.parametrize("bad", [
+    ["flow", "SURFACE", "--t", "nan"], ["flow", "SURFACE", "--t", "inf"],
+    ["flow", "SURFACE", "--t=-inf"], ["flow", "SURFACE", "--t=-1000"],
+    ["strata", "--g=-1", "--m", "0"], ["strata", "--g", "1", "--m=-3"]],
+    ids=["t_nan", "t_inf", "t_neg_inf", "t_overflow", "strata_g_neg",
+         "strata_m_neg"])
+def test_flow_and_strata_bad_args_exit_2(tmp_path, capsys, bad):
+    out = tmp_path / "o.json"
+    surface = str(bundled_surface_path("marked_torus"))
+    args = [surface if a == "SURFACE" else a for a in bad]
+    assert run([*args, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "InputFormatError"
 

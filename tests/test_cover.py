@@ -1,11 +1,17 @@
 """Double cover construction, involution, Sigma classification."""
 
+import random
+
+import pytest
+
 from qdlab.builders import (
+    bundled_names,
     bundled_surface,
     genus2_generic,
     l_origami,
     marked_torus,
     pillowcase,
+    random_flip_variant,
 )
 from qdlab.cover import build_cover, classify_points
 from qdlab.surface import area
@@ -134,3 +140,15 @@ def test_epsilon_matches_cover_connectivity():
         assert (eps == 1) == (components == 2)
         if eps == 1:
             assert all(o % 2 == 0 for o in s.orders().values())
+
+
+@pytest.mark.parametrize("name", bundled_names())
+@pytest.mark.parametrize("flip_seed", [None, 0, 1, 2])
+def test_cover_marks_exactly_the_fibers_of_marked_points(name, flip_seed):
+    s = bundled_surface(name)
+    if flip_seed is not None:
+        s = random_flip_variant(s, random.Random(flip_seed))
+    c = build_cover(s)
+    fibers = {cv for v in s.marked for cv in c.vertex_fiber(v)}
+    assert c.cover_surface.marked == fibers
+    assert all(c.cover_surface.sign[f] == 1 for f in c.cover_surface.edges())

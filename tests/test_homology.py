@@ -414,3 +414,25 @@ def test_dropped_surface_frees_its_homology_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("space", ["relative", "absolute"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_length_vector_raises_basis_mismatch(space, delta):
+    from qdlab.deformation import lift_to_cochain
+
+    c = build_cover(bundled_surface("genus2_generic"))
+    h = homology_data(c)
+    u = period_map(c, h)
+    rank = len(h.rel_minus_basis if space == "relative" else h.abs_minus_basis)
+    bad = PeriodVector(tuple(QC(k + 1, 0) for k in range(rank + delta)),
+                       h.basis_tag, space, "exact")
+    with pytest.raises(BasisMismatch):
+        wedge(h, bad, u)
+    with pytest.raises(BasisMismatch):
+        wedge(h, u, bad)
+    with pytest.raises(BasisMismatch):
+        wedge_cup_oracle(h, bad, u)
+    if space == "relative":
+        with pytest.raises(BasisMismatch):
+            lift_to_cochain(h, bad)

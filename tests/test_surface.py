@@ -129,6 +129,22 @@ class TestBuildErrors:
                           for e in t.edges() if e < t.glue[e]],
                          marked=[])
 
+    def test_declared_sign_disagrees_with_vectors(self):
+        t = marked_torus()
+        gl = [(e, t.glue[e], t.sign[e]) for e in t.edges() if e < t.glue[e]]
+        e, f, sg = gl[0]
+        gl[0] = (e, f, -sg)
+        with pytest.raises(GluingMismatch):
+            make_surface(t.triangles, t.vec, gl, marked=[0])
+
+    def test_marked_edge_that_is_not_a_vertex_id(self):
+        t = marked_torus()
+        assert t.vertices() == [0] and 1 in t.edges()
+        gl = [(e, t.glue[e], t.sign[e]) for e in t.edges() if e < t.glue[e]]
+        with pytest.raises(SurfaceError) as info:
+            make_surface(t.triangles, t.vec, gl, marked=[1])
+        assert type(info.value) is SurfaceError
+
     def test_negative_orientation(self):
         vecs = {0: QC(1), 1: QC(1, -1), 2: QC(-2, 1),
                 3: QC(2, -1), 4: QC(-1), 5: QC(-1, 1)}
