@@ -173,9 +173,9 @@ def cmd_flow(args):
     s = _load_surface_arg(args.surface)
     try:
         out = geodesic_flow(s, args.t)
-    except OverflowError:
+    except OverflowError as exc:
         raise InputFormatError(f"--t {args.t} scales the surface out of "
-                               "floating-point range") from None
+                               f"floating-point range: {exc}") from None
     _emit(surface_to_dict(out), args.out)
     _maybe_svg(out, args.emit_svg)
     return 0

@@ -31,7 +31,7 @@ from .errors import (
 from .exact import is_zero
 from .homology import HomologyData, homology_data
 from .periods import PeriodVector, period_map
-from .surface import FlatSurface, area, cross
+from .surface import FlatSurface, area, cross, dot
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,17 @@ def geodesic_flow(s: FlatSurface, t: float) -> FlatSurface:
     for e, v in s.vec.items():
         c = complex(v)
         new_vec[e] = complex(c.real, k * c.imag)
+        if c.imag and not new_vec[e].imag:
+            raise OverflowError(f"the imaginary part of edge {e} "
+                                "underflows to 0")
+    # validation takes the cross and dot product of the two edges at each
+    # corner; the flow keeps them finite and nonzero in exact arithmetic
+    for tri in s.triangles:
+        for e, p in zip(tri, tri[-1:] + tri[:-1]):
+            u, w = new_vec[e], -new_vec[p]
+            if not (math.isfinite(cross(u, w)) and math.isfinite(dot(u, w))):
+                raise OverflowError("a cross or dot product overflows at "
+                                    f"edge {e}")
     return s.with_edge_vectors(new_vec, mode="float")
 
 
@@ -84,7 +95,7 @@ def lift_to_cochain(h: HomologyData, v: PeriodVector):
         raise BasisMismatch("vector bound to a different basis")
     if v.space != "relative":
         raise BasisMismatch("affine deformations use relative-basis vectors")
-    per_rep = h.anti_invariant_cochain(h.rel_minus_basis, list(v.coords))
+    per_rep = h.cocycle_functional(list(v.coords), space="relative")
     return {f: h.cochain_on_edge(per_rep, f) for f in h.csurf.edges()}
 
 

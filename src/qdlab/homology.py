@@ -33,17 +33,29 @@ Erickson-Whittlesey, SODA 2005), built with union-find on integers:
   unique, so this is the solution any exact solver returns, found in linear
   time.
 
-The independent oracle for the wedge is the antisymmetrized simplicial cup
-product.  Cochains are transferred to the barycentric subdivision of the
-cover (where vertex / edge-midpoint / face-center types give a canonical
-ordering on every simplex) and the Alexander-Whitney product is evaluated on
-the fundamental 2-cycle.  With local potentials per triangle the whole
-evaluation collapses to
+The independent oracle for the wedge is the simplicial cup product of two
+closed anti-invariant cochains, evaluated on the fundamental cycle.  Through
+the barycentric subdivision (vertex / edge-midpoint / face-center types order
+every small simplex) and the Alexander-Whitney product, with a local
+potential phi_b of b on each triangle, it is
 
     cup(a, b) = sum over triangles, sum over its directed edges f of
-                a(f) * (phi_b(center) - phi_b(midpoint of f)),
+                a(f) * (phi_b(center) - phi_b(midpoint of f)).
 
-which is what :func:`cup_product_pairing` computes.
+On a triangle with directed edges f1, f2, f3 and phi_b = 0, b1, b1 + b2 at
+the corners tail(f1), tail(f2), tail(f3), the three differences are
+(b1 + 2 b2)/6, -(2 b1 + b2)/6 and (b1 - b2)/6.  A closed cochain has
+a3 = -a1 - a2, so the triangle's term collapses to (a1 b2 - a2 b1)/2 and
+
+    cup(a, b) = 1/2 * sum over triangles of (a(f1) b(f2) - a(f2) b(f1)),
+
+which is antisymmetric in (a, b).  That sum is what
+:meth:`HomologyData.cup_product_pairing` computes.
+
+The closed anti-invariant cochain with prescribed periods on a list of
+cycles depends linearly on the periods, so each list is eliminated once
+(:class:`_CochainMap`) and every later cochain is one sparse
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -181,8 +193,72 @@ class _CycleBasis:
                 for k in self._kept]
 
 
+class _CochainMap:
+    """Cycle periods -> closed anti-invariant cochain, for one list of cycles.
+
+    The unknowns are the pair variables, one per involution orbit of edge
+    reps; the constraint rows are the closedness rows (one triangle boundary
+    per orbit) followed by one row per cycle.  A single ``rref`` of
+    [constraint rows | unit columns on the cycle rows] factors the solve:
+    pivot choice reads only the left block, so each pivot row's right block
+    is the linear map from the cycle values to that pair variable, and each
+    row whose left block vanished is a consistency condition on the values.
+    The left block lists the pair variables in descending order, so the free
+    ones are the lowest-index ones.  Holds plain lists only, no reference
+    to the homology it came from.
+    """
+
+    __slots__ = ("_npair", "_ncycles", "_rows", "_checks", "_rep_coeff")
+
+    def __init__(self, npair, constraint_rows, cycle_rows, rep_coeff):
+        """Rows are over the ``npair`` pair variables; ``rep_coeff[i]`` is
+        (pair position, factor) of edge rep i."""
+        nc = len(cycle_rows)
+        ncons = len(constraint_rows)
+        R, pivots = rref([row[::-1] + [F1 if r == ncons + k else F0
+                                       for k in range(nc)]
+                          for r, row in enumerate(constraint_rows + cycle_rows)])
+        nleft = sum(1 for pc in pivots if pc < npair)
+
+        def sparse(row):
+            return [(k, x) for k, x in enumerate(row[npair:]) if x]
+
+        self._npair = npair
+        self._ncycles = nc
+        # (pair position, [(cycle index, coefficient), ...])
+        self._rows = [(npair - 1 - pc, sparse(R[r]))
+                      for r, pc in enumerate(pivots[:nleft])]
+        self._checks = [chk for chk in map(sparse, R[nleft:]) if chk]
+        self._rep_coeff = rep_coeff
+
+    def __call__(self, values):
+        """The cochain taking ``values`` on the cycles (Fraction, QC or
+        complex), as values per edge rep (a dict).  Raises
+        :class:`InconsistentFunctional` when no closed cochain takes them.
+        Non-pivot pair variables are zero: the normal form of
+        :meth:`HomologyData.anti_invariant_cochain`."""
+        if len(values) != self._ncycles:
+            raise BasisMismatch(f"{self._ncycles} cycles need as many values")
+        zero = values[0] * 0 if values else F0
+
+        def apply(row):
+            s = zero
+            for k, x in row:
+                s = s + x * values[k]
+            return s
+
+        if not all(is_zero(apply(chk)) for chk in self._checks):
+            raise InconsistentFunctional("no closed cochain matches the functional")
+        w = [zero] * self._npair
+        for pos, row in self._rows:
+            w[pos] = apply(row)
+        return {i: fac * w[pos] for i, (pos, fac) in enumerate(self._rep_coeff)}
+
+
 class HomologyData:
-    """Chain-level data of a double cover; immutable after construction.
+    """Chain-level data of a double cover; immutable after construction
+    (the relative cochain map is built on first use, see
+    :meth:`cocycle_functional`).
 
     Nothing here reads an edge vector: the data is a function of the
     cover's triangles and gluing and of the lifted Sigma_ub, which is what
@@ -253,17 +329,23 @@ class HomologyData:
             if t not in seen_tris:
                 seen_tris.update((t, cover.involution_triangle(t)))
                 self._orbit_triangles.append(t)
+        # cup product terms: (rep of f1, rep of f2) per triangle, swapped
+        # when the two chain signs differ
+        self._cup_terms = []
+        for f1, f2, _ in c.triangles:
+            (i, si), (j, sj) = self._chain(f1), self._chain(f2)
+            self._cup_terms.append((i, j) if si == sj else (j, i))
+        self._abs_map = self._cochain_map(self.abs_minus_basis)
+        self._rel_map = None
         m = len(self.abs_minus_basis)
-        self._dual_cocycles = self._anti_invariant_cochains(
-            self.abs_minus_basis,
-            [[F1 if j == i else F0 for j in range(m)] for i in range(m)])
-        U = [[self.cup_product_pairing(a, b, antisymmetrize=False)
-              for b in self._dual_cocycles] for a in self._dual_cocycles]
-        G = [[(U[i][j] - U[j][i]) / 2 for j in range(m)] for i in range(m)]
+        # the dual cocycles: the columns of the absolute-minus cochain map
+        duals = [self._abs_map([F1 if j == i else F0 for j in range(m)])
+                 for i in range(m)]
+        G = [[F0] * m for _ in range(m)]
         for i in range(m):
-            for j in range(m):
-                if G[i][j] != -G[j][i]:
-                    raise SingularJ("cup pairing of dual cocycles not antisymmetric")
+            for j in range(i + 1, m):
+                G[i][j] = self.cup_product_pairing(duals[i], duals[j])
+                G[j][i] = -G[i][j]
         Ginv = mat_inverse(G) if m else []
         if m and Ginv is None:
             raise SingularJ("degenerate intersection pairing on H1^-")
@@ -391,6 +473,13 @@ class HomologyData:
             row[pos] += fac * x
         return row
 
+    def _cochain_map(self, cycles):
+        return _CochainMap(
+            len(self._pairs),
+            [self._cochain_row(self._boundaries[t]) for t in self._orbit_triangles],
+            [self._cochain_row(z) for z in cycles],
+            [self._pair_coeff[i] for i in range(len(self.reps))])
+
     def anti_invariant_cochain(self, cycles, values):
         """Closed anti-invariant 1-cochain with prescribed cycle periods.
 
@@ -404,89 +493,35 @@ class HomologyData:
         exactly when no combination of the constraint rows is supported on
         variables 0..k with a nonzero entry at k.  Raises
         :class:`InconsistentFunctional` when no closed cochain takes the
-        values.  Returns values per edge rep (a dict).
+        values.  Returns values per edge rep (a dict).  For the minus bases,
+        :meth:`cocycle_functional` reuses one elimination across calls.
         """
-        return self._anti_invariant_cochains(cycles, [values])[0]
-
-    def _anti_invariant_cochains(self, cycles, value_sets):
-        """:meth:`anti_invariant_cochain` for several value lists, one value
-        per cycle, sharing one elimination."""
-        if any(len(values) != len(cycles) for values in value_sets):
-            raise BasisMismatch(f"{len(cycles)} cycles need as many values")
-        npair = len(self._pairs)
-        rows = [self._cochain_row(self._boundaries[t])
-                for t in self._orbit_triangles]
-        ncons = len(rows)
-        rows += [self._cochain_row(z) for z in cycles]
-        # right-hand sides: the values on the cycle rows, zero elsewhere
-        zeros = [values[0] * 0 if len(values) else F0 for values in value_sets]
-        rhs = [[zero] * ncons + list(values)
-               for zero, values in zip(zeros, value_sets)]
-        # pair variables in descending order, so the free columns are the
-        # lowest-index ones
-        R, pivots = rref([row[::-1] + [b[r] for b in rhs]
-                          for r, row in enumerate(rows)])
-        if pivots and pivots[-1] >= npair:
-            raise InconsistentFunctional("no closed cochain matches the functional")
-        out = []
-        for j, zero in enumerate(zeros):
-            w = [zero] * npair
-            for r, pc in enumerate(pivots):
-                w[npair - 1 - pc] = R[r][npair + j]
-            out.append({})
-            for i in range(len(self.reps)):
-                pos, fac = self._pair_coeff[i]
-                out[j][i] = fac * w[pos]
-        return out
+        return self._cochain_map(cycles)(values)
 
     def cocycle_functional(self, values, space="absolute"):
-        """Closed anti-invariant cochain realizing a functional on a minus basis."""
-        basis = self.abs_minus_basis if space == "absolute" else self.rel_minus_basis
-        return self.anti_invariant_cochain(basis, list(values))
+        """Closed anti-invariant cochain realizing a functional on a minus
+        basis: :meth:`anti_invariant_cochain` of that basis.  The absolute
+        map is built with the homology, the relative one on first use."""
+        if space == "absolute":
+            return self._abs_map(values)
+        if self._rel_map is None:
+            self._rel_map = self._cochain_map(self.rel_minus_basis)
+        return self._rel_map(values)
 
     def cochain_on_edge(self, cochain, directed_edge):
         i, sg = self._chain(directed_edge)
         return sg * cochain[i]
 
-    def evaluate_cochain(self, cochain, chain_vec):
-        tot = None
-        for i, x in enumerate(chain_vec):
-            if is_zero(x):
-                continue
-            term = cochain[i] * x
-            tot = term if tot is None else tot + term
-        return F0 if tot is None else tot
-
     # -- cup product oracle ----------------------------------------------------
-    def cup_product_pairing(self, alpha, beta, antisymmetrize=True):
-        """Evaluate the simplicial cup product of two closed cochains on the
-        fundamental cycle of the (subdivided) cover."""
-        c = self.csurf
+    def cup_product_pairing(self, alpha, beta):
+        """Simplicial cup product of two closed cochains (values per edge
+        rep) on the fundamental cycle of the cover, in the closed form of
+        the module docstring."""
         total = None
-        for tri in c.triangles:
-            f1, f2, f3 = tri
-            a1 = self.cochain_on_edge(alpha, f1)
-            a2 = self.cochain_on_edge(alpha, f2)
-            a3 = self.cochain_on_edge(alpha, f3)
-            b1 = self.cochain_on_edge(beta, f1)
-            b2 = self.cochain_on_edge(beta, f2)
-            b3 = self.cochain_on_edge(beta, f3)
-            # potentials of beta at the corners tail(f1), tail(f2), tail(f3)
-            p0 = b1 * 0
-            p1 = b1
-            p2 = b1 + b2
-            cb = (p0 + p1 + p2) / 3
-            m1 = (p0 + p1) / 2
-            m2 = (p1 + p2) / 2
-            m3 = (p2 + p0) / 2
-            t = a1 * (cb - m1) + a2 * (cb - m2) + a3 * (cb - m3)
+        for i, j in self._cup_terms:
+            t = alpha[i] * beta[j] - alpha[j] * beta[i]
             total = t if total is None else total + t
-        if total is None:
-            return F0
-        if not antisymmetrize:
-            return total
-        rev = self.cup_product_pairing(beta, alpha, antisymmetrize=False)
-        return (total - rev) / 2
+        return F0 if total is None else total / 2
 
 
 def homology_data(cover: DoubleCover) -> HomologyData:
@@ -559,8 +594,8 @@ def wedge_cup_oracle(h: HomologyData, x, y):
     """Independent route: cup product of cocycle representatives."""
     xa = _absolute_coords(h, x)
     ya = _absolute_coords(h, y)
-    ax = h.anti_invariant_cochain(h.abs_minus_basis, xa)
-    by = h.anti_invariant_cochain(h.abs_minus_basis, ya)
+    ax = h.cocycle_functional(xa)
+    by = h.cocycle_functional(ya)
     return h.cup_product_pairing(ax, by)
 
 

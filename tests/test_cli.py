@@ -151,9 +151,11 @@ def test_build_checks_declared_sign_and_marked_ids(tmp_path, capsys, spoil):
 @pytest.mark.parametrize("bad", [
     ["flow", "SURFACE", "--t", "nan"], ["flow", "SURFACE", "--t", "inf"],
     ["flow", "SURFACE", "--t=-inf"], ["flow", "SURFACE", "--t=-1000"],
+    ["flow", "SURFACE", "--t=-180"], ["flow", "SURFACE", "--t=-354"],
+    ["flow", "SURFACE", "--t=1000"],
     ["strata", "--g=-1", "--m", "0"], ["strata", "--g", "1", "--m=-3"]],
-    ids=["t_nan", "t_inf", "t_neg_inf", "t_overflow", "strata_g_neg",
-         "strata_m_neg"])
+    ids=["t_nan", "t_inf", "t_neg_inf", "t_overflow", "t_-180", "t_-354",
+         "t_1000", "strata_g_neg", "strata_m_neg"])
 def test_flow_and_strata_bad_args_exit_2(tmp_path, capsys, bad):
     out = tmp_path / "o.json"
     surface = str(bundled_surface_path("marked_torus"))

@@ -40,6 +40,11 @@ def _rand_rel(h, rng, span=3, scale=Fraction(1, 16)):
         h.basis_tag, "relative", "exact")
 
 
+def _evaluate(cochain, cyc):
+    """A cochain (values per edge rep) on a cycle (rep coordinates)."""
+    return sum((cochain[i] * x for i, x in enumerate(cyc) if x), QC(0))
+
+
 class TestGeodesicFlow:
     def test_identity_at_zero(self):
         s = bundled_surface("marked_torus")
@@ -146,8 +151,7 @@ class TestLiftToCochain:
             coc = lift_to_cochain(h, v)
             per_rep = {i: coc[h.reps[i]] for i in range(len(h.reps))}
             for j, cyc in enumerate(h.rel_minus_basis):
-                got = h.evaluate_cochain(per_rep, cyc)
-                assert got == v.coords[j]
+                assert _evaluate(per_rep, cyc) == v.coords[j]
 
     def test_random_lift_reevaluates(self):
         rng = random.Random(23)
@@ -157,7 +161,7 @@ class TestLiftToCochain:
             coc = lift_to_cochain(h, v)
             per_rep = {i: coc[h.reps[i]] for i in range(len(h.reps))}
             for j, cyc in enumerate(h.rel_minus_basis):
-                assert h.evaluate_cochain(per_rep, cyc) == v.coords[j]
+                assert _evaluate(per_rep, cyc) == v.coords[j]
 
     def test_anti_invariance(self):
         rng = random.Random(29)
@@ -166,6 +170,27 @@ class TestLiftToCochain:
         coc = lift_to_cochain(h, v)
         for f in c.cover_surface.edges():
             assert coc[c.involution_edge(f)] == -coc[f]
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_float_deform_agrees_with_exact(name):
+    s, c, h = _ctx(name)
+    cf = build_cover(s.to_float())
+    hf = homology_data(cf)
+    v = _rand_rel(h, random.Random(f"float/{name}"), scale=Fraction(1, 8))
+    for _ in range(6):
+        try:
+            exact = affine_deform(c, h, v).base.vec
+            break
+        except TriangleFlip:
+            v = v.scale(Fraction(1, 2))
+    else:
+        pytest.fail("every scale of v flips a triangle")
+    vf = PeriodVector(tuple(complex(z) for z in v.coords), hf.basis_tag,
+                      "relative", "float")
+    flt = affine_deform(cf, hf, vf).base.vec
+    for e, z in exact.items():
+        assert abs(flt[e] - complex(z)) <= 1e-12 * abs(complex(z))
 
 
 class TestDisk:

@@ -7,12 +7,26 @@ from qdlab.exact import (
     QC,
     QC_I,
     mat_inverse,
-    mat_mul,
     nullspace,
     rank,
     rref,
     solve,
 )
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        row = []
+        ai = a[i]
+        for j in range(cols):
+            s = ai[0] * b[0][j]
+            for k in range(1, inner):
+                s = s + ai[k] * b[k][j]
+            row.append(s)
+        out.append(row)
+    return out
 
 
 def test_qc_field_axioms():

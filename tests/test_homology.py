@@ -8,7 +8,7 @@ import pytest
 from qdlab.builders import bundled_names, bundled_surface
 from qdlab.cover import build_cover
 from qdlab.errors import BasisMismatch, InconsistentFunctional
-from qdlab.exact import QC, QC_I
+from qdlab.exact import QC, QC_I, is_zero
 from qdlab.homology import (
     cocycle_representative,
     hermitian_pairing,
@@ -24,6 +24,38 @@ def _ctx(name):
     s = bundled_surface(name)
     c = build_cover(s)
     return s, c, homology_data(c)
+
+
+def evaluate_cochain(cochain, chain_vec):
+    """A cochain (values per edge rep) on a chain (rep coordinates)."""
+    tot = None
+    for i, x in enumerate(chain_vec):
+        if is_zero(x):
+            continue
+        term = cochain[i] * x
+        tot = term if tot is None else tot + term
+    return Fraction(0) if tot is None else tot
+
+
+def subdivision_cup(h, alpha, beta):
+    """The cup product oracle: the antisymmetrized Alexander-Whitney product
+    on the barycentric subdivision, with a local potential of the second
+    cochain per triangle.  Unlike ``h.cup_product_pairing`` it reads every
+    edge of each triangle, so it does not assume the cochains closed."""
+    def unsym(a, b):
+        total = None
+        for tri in h.csurf.triangles:
+            a1, a2, a3 = (h.cochain_on_edge(a, f) for f in tri)
+            b1, b2, _ = (h.cochain_on_edge(b, f) for f in tri)
+            # potentials of b at the corners tail(f1), tail(f2), tail(f3)
+            p0, p1, p2 = b1 * 0, b1, b1 + b2
+            cb = (p0 + p1 + p2) / 3
+            t = (a1 * (cb - (p0 + p1) / 2) + a2 * (cb - (p1 + p2) / 2)
+                 + a3 * (cb - (p2 + p0) / 2))
+            total = t if total is None else total + t
+        return Fraction(0) if total is None else total
+
+    return (unsym(alpha, beta) - unsym(beta, alpha)) / 2
 
 
 def _rand_vec(h, rng, space="absolute", span=5):
@@ -79,11 +111,11 @@ class TestCocycleRepresentative:
         u = period_map(c, h)
         coc = h.cocycle_functional(list(u.coords), space="relative")
         for j, cyc in enumerate(h.rel_minus_basis):
-            val = h.evaluate_cochain(coc, cyc)
+            val = evaluate_cochain(coc, cyc)
             assert val == u.coords[j]
         # closed: vanishes on every triangle boundary
         for b in h._boundaries:
-            assert h.evaluate_cochain(coc, b).is_zero()
+            assert evaluate_cochain(coc, b).is_zero()
 
     def test_random_functionals_exact(self):
         rng = random.Random(3)
@@ -93,7 +125,7 @@ class TestCocycleRepresentative:
                  for _ in range(h.rank_abs_minus())]
             coc = h.cocycle_functional(f, space="absolute")
             for j, cyc in enumerate(h.abs_minus_basis):
-                assert h.evaluate_cochain(coc, cyc) == f[j]
+                assert evaluate_cochain(coc, cyc) == f[j]
 
 
 class TestWedge:
@@ -201,7 +233,7 @@ def _oracle(h, cover):
     """HomologyData's public outputs rebuilt from ``cover`` by dense Fraction
     elimination: nullspace of d1, greedy reduction modulo triangle
     boundaries, and ``exact.solve`` for every expressed cycle.  Of ``h`` only
-    the cochain lift and the cup product are used."""
+    the cochain lift is used; the cup product is :func:`subdivision_cup`."""
     import hashlib
     import json
 
@@ -283,7 +315,7 @@ def _oracle(h, cover):
     duals = [h.anti_invariant_cochain(o["abs_minus_basis"],
                                       [Fraction(int(i == j)) for j in range(m)])
              for i in range(m)]
-    G = [[h.cup_product_pairing(a, b) for b in duals] for a in duals]
+    G = [[subdivision_cup(h, a, b) for b in duals] for a in duals]
     o["J"] = [[-x for x in row] for row in mat_inverse(G)] if m else []
     o["Jinv"] = [[-x for x in row] for row in G]
     base = cover.base
@@ -374,10 +406,10 @@ def test_anti_invariant_cochain_normal_form(name, flip_seed):
                          Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
                       for _ in basis]
             w = h.anti_invariant_cochain(basis, values)
-            assert all(h.evaluate_cochain(w, bd) == 0 for bd in h._boundaries)
-            assert all(h.evaluate_cochain(w, h.iota_chain(u)) == -w[i]
+            assert all(evaluate_cochain(w, bd) == 0 for bd in h._boundaries)
+            assert all(evaluate_cochain(w, h.iota_chain(u)) == -w[i]
                        for i, u in enumerate(units))
-            assert [h.evaluate_cochain(w, z) for z in basis] == values
+            assert [evaluate_cochain(w, z) for z in basis] == values
             assert all(w[pairs[k]] == 0 for k in free)
     z = h.abs_minus_basis[0]
     with pytest.raises(InconsistentFunctional):
@@ -436,3 +468,59 @@ def test_wrong_length_vector_raises_basis_mismatch(space, delta):
     if space == "relative":
         with pytest.raises(BasisMismatch):
             lift_to_cochain(h, bad)
+
+
+@pytest.mark.parametrize("name", [*bundled_names(), "two_square_torus"])
+@pytest.mark.parametrize("flip_seed", [None, 0, 1])
+def test_closed_form_cup_matches_subdivision(name, flip_seed):
+    from qdlab.builders import random_flip_variant
+
+    surf = _two_square_torus() if name == "two_square_torus" else bundled_surface(name)
+    if flip_seed is not None:
+        rng = random.Random(flip_seed)
+        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
+    h = homology_data(build_cover(surf))
+    m = len(h.abs_minus_basis)
+    cochains = [h.cocycle_functional([Fraction(int(i == j)) for j in range(m)])
+                for i in range(m)]
+    rng = random.Random(f"cup/{name}/{flip_seed}")
+    for space in ("absolute", "relative", "relative"):
+        cochains.append(h.cocycle_functional(
+            list(_rand_vec(h, rng, space).coords), space=space))
+    for a in cochains:
+        for b in cochains:
+            assert h.cup_product_pairing(a, b) == subdivision_cup(h, a, b)
+
+
+def test_closed_form_cup_differs_on_a_cochain_that_is_not_closed():
+    h = homology_data(build_cover(bundled_surface("genus2_generic")))
+    m = len(h.abs_minus_basis)
+    closed = h.cocycle_functional([Fraction(int(j == 0)) for j in range(m)])
+    bump = {i: Fraction(int(i == 0)) for i in range(len(h.reps))}
+    assert any(evaluate_cochain(bump, bd) for bd in h._boundaries)
+    assert h.cup_product_pairing(bump, closed) != subdivision_cup(h, bump, closed)
+
+
+def test_cochain_maps_are_built_once_per_homology(monkeypatch):
+    import qdlab.homology as H
+    from qdlab.builders import random_flip_variant
+    from qdlab.deformation import lift_to_cochain
+
+    calls = []
+    rref = H.rref
+    monkeypatch.setattr(H, "rref", lambda matrix: calls.append(1) or rref(matrix))
+    s = random_flip_variant(bundled_surface("marked_torus"), random.Random(8), 3)
+    c = build_cover(s)
+    h = homology_data(c)
+    # the comparison map and the absolute-minus cochain map; no relative map
+    assert len(calls) == 2
+    u = period_map(c, h)
+    lift_to_cochain(h, u)
+    assert len(calls) == 3
+    rng = random.Random(9)
+    for _ in range(3):
+        lift_to_cochain(h, _rand_vec(h, rng, "relative"))
+        h.cocycle_functional(_rand_vec(h, rng, "relative").coords, space="relative")
+        h.cocycle_functional(_rand_vec(h, rng).coords)
+        wedge_cup_oracle(h, _rand_vec(h, rng), _rand_vec(h, rng, "relative"))
+    assert len(calls) == 3
