@@ -176,16 +176,30 @@ def bundled_surface_path(name):
 # ---------------------------------------------------------------------------
 
 def random_flip_variant(s: FlatSurface, rng, n_flips=6) -> FlatSurface:
-    """Apply up to ``n_flips`` random valid edge flips."""
+    """Apply up to ``n_flips`` random valid edge flips.
+
+    Each flip picks uniformly among the flippable edges, listed in
+    ``edges()`` order.  A flip changes only the quads of the edges on its
+    two new triangles and of their glue partners, so only those are
+    re-tested before the next pick.
+    """
     from .delaunay import flip_edge, flippable
 
     cur = s
-    edges = None
+    ok = None
+    e = None
     for _ in range(n_flips):
-        edges = [e for e in cur.edges() if flippable(cur, e)]
+        if ok is None:
+            ok = {h: flippable(cur, h) for h in cur.edges()}
+        else:
+            for h in {x for t in (cur.triangle_of(e), cur.triangle_of(cur.glue[e]))
+                      for h in cur.triangles[t] for x in (h, cur.glue[h])}:
+                ok[h] = flippable(cur, h)
+        edges = [h for h in cur.edges() if ok[h]]
         if not edges:
             break
-        cur = flip_edge(cur, rng.choice(edges))
+        e = rng.choice(edges)
+        cur = flip_edge(cur, e)
     return cur
 
 

@@ -1,9 +1,9 @@
 """Exact homological algebra on the covering Delta-complex.
 
-Everything here is combinatorial and runs over exact rationals regardless of
-the surface's scalar mode: absolute and relative H_1 of the cover, the
-involution action and its (-1)-eigenspaces, the intersection matrix J on the
-anti-invariant absolute homology, and the wedge pairing
+Everything here is combinatorial and exact regardless of the surface's
+scalar mode: absolute and relative H_1 of the cover, the involution action
+and its (-1)-eigenspaces, the intersection matrix J on the anti-invariant
+absolute homology, and the wedge pairing
 
     wedge(x, y) = -x^T J^{-1} y
 
@@ -56,6 +56,17 @@ The closed anti-invariant cochain with prescribed periods on a list of
 cycles depends linearly on the periods, so each list is eliminated once
 (:class:`_CochainMap`) and every later cochain is one sparse
 matrix-vector product.
+
+Chains are Python ints while :class:`HomologyData` is built.  Boundaries,
+forest cycles and the involution are +-1 chains, and i_* is an integer
+matrix.  A minus-basis cycle is kept as integer numerators over one
+denominator 2d, where d clears the denominators of its nullspace vector.
+Every matrix handed to ``rref`` is an integer matrix, equal up to row
+scaling to the rational one, which leaves the RREF unchanged.  The
+intersection form G is the integer cup sum of the dual cocycles' numerators,
+divided once.  Fractions appear only at the public boundary: the bases, i_*,
+the comparison map, J and Jinv hold Fraction entries, and the cochain map's
+coefficients are the Fractions ``rref`` returns.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 
 from .cover import DoubleCover
 from .errors import (
@@ -73,6 +85,7 @@ from .errors import (
 from .exact import (
     QC,
     QC_I,
+    integer_vector,
     is_zero,
     mat_inverse,
     nullspace,
@@ -81,6 +94,11 @@ from .exact import (
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def _fractions(vec, den=1):
+    """The public form of an integer chain: ``vec / den`` as Fractions."""
+    return [Fraction(x, den) if x else F0 for x in vec]
 
 
 def _find(parent, x):
@@ -166,10 +184,10 @@ class _CycleBasis:
                       for t, p, g in _root_forest(cotree_adj, range(ntri))]
         self._ntri = ntri
 
-        self.basis = []
+        self.basis = []   # integer chains
         for f in self._kept:
-            z = [F0] * nr
-            z[f] = F1
+            z = [0] * nr
+            z[f] = 1
             for n, sg in ((node[ends[f][1]], 1), (node[ends[f][0]], -1)):
                 while n in up:
                     n, i, step = up[n]
@@ -177,16 +195,17 @@ class _CycleBasis:
             self.basis.append(z)
 
     def coords(self, cyc):
-        """Coordinates of a 1-cycle on :attr:`basis`, modulo boundaries."""
+        """Coordinates of a 1-cycle on :attr:`basis`, modulo boundaries, in
+        the entry type of ``cyc`` (ints for an integer chain)."""
         bd = {}
         for i, x in enumerate(cyc):
             if x:
                 u, v = self._ends[i]
-                bd[self._node[v]] = bd.get(self._node[v], F0) + x
-                bd[self._node[u]] = bd.get(self._node[u], F0) - x
+                bd[self._node[v]] = bd.get(self._node[v], 0) + x
+                bd[self._node[u]] = bd.get(self._node[u], 0) - x
         if any(bd.values()):
             raise InconsistentFunctional("vector is not a cycle of this complex")
-        a = [F0] * self._ntri
+        a = [0] * self._ntri
         for t, p, g, sg in self._peel:
             a[t] = a[p] + sg * cyc[g]
         return [cyc[k] - (a[self._sides[k][0]] - a[self._sides[k][1]])
@@ -211,13 +230,15 @@ class _CochainMap:
     __slots__ = ("_npair", "_ncycles", "_rows", "_checks", "_rep_coeff")
 
     def __init__(self, npair, constraint_rows, cycle_rows, rep_coeff):
-        """Rows are over the ``npair`` pair variables; ``rep_coeff[i]`` is
-        (pair position, factor) of edge rep i."""
+        """Rows are integer rows over the ``npair`` pair variables; each
+        cycle row comes as (numerators, d), the cycle's row times d, so its
+        unit column holds d.  ``rep_coeff[i]`` is (pair position, +-1) of
+        edge rep i."""
         nc = len(cycle_rows)
-        ncons = len(constraint_rows)
-        R, pivots = rref([row[::-1] + [F1 if r == ncons + k else F0
-                                       for k in range(nc)]
-                          for r, row in enumerate(constraint_rows + cycle_rows)])
+        R, pivots = rref(
+            [row[::-1] + [0] * nc for row in constraint_rows]
+            + [row[::-1] + [d if j == k else 0 for j in range(nc)]
+               for k, (row, d) in enumerate(cycle_rows)])
         nleft = sum(1 for pc in pivots if pc < npair)
 
         def sparse(row):
@@ -229,7 +250,7 @@ class _CochainMap:
         self._rows = [(npair - 1 - pc, sparse(R[r]))
                       for r, pc in enumerate(pivots[:nleft])]
         self._checks = [chk for chk in map(sparse, R[nleft:]) if chk]
-        self._rep_coeff = rep_coeff
+        self._rep_coeff = [(pos, F1 if sg > 0 else -F1) for pos, sg in rep_coeff]
 
     def __call__(self, values):
         """The cochain taking ``values`` on the cycles (Fraction, QC or
@@ -253,6 +274,22 @@ class _CochainMap:
         for pos, row in self._rows:
             w[pos] = apply(row)
         return {i: fac * w[pos] for i, (pos, fac) in enumerate(self._rep_coeff)}
+
+    def integer_columns(self):
+        """The cochains taking 1 on one cycle and 0 on the others, each as
+        (numerators per edge rep, d): the columns of the map over d."""
+        if self._checks:
+            raise InconsistentFunctional("no closed cochain matches the functional")
+        cols = [[0] * self._npair for _ in range(self._ncycles)]
+        for pos, row in self._rows:
+            for k, x in row:
+                cols[k][pos] = x
+        out = []
+        for w in cols:
+            w, d = integer_vector(w)
+            out.append(([w[pos] if fac > 0 else -w[pos]
+                         for pos, fac in self._rep_coeff], d))
+        return out
 
 
 class HomologyData:
@@ -287,7 +324,7 @@ class HomologyData:
         self.vertices = c.vertices()
         nr, nt = len(reps), len(c.triangles)
 
-        self._boundaries = [[F0] * nr for _ in range(nt)]
+        self._boundaries = [[0] * nr for _ in range(nt)]
         for t in range(nt):
             for f in c.triangles[t]:
                 i, sg = self._chain(f)
@@ -309,14 +346,19 @@ class HomologyData:
         self._rel_h1 = _CycleBasis(
             {v: ground if v in lifted["sigma_ub"] else v for v in self.vertices},
             ends, sides, nt)
-        self.abs_basis = self._abs_h1.basis
-        self.rel_basis = self._rel_h1.basis
+        self.abs_basis = [_fractions(z) for z in self._abs_h1.basis]
+        self.rel_basis = [_fractions(z) for z in self._rel_h1.basis]
 
-        self.iota_abs = self._iota_star(self._abs_h1)
-        self.iota_rel = self._iota_star(self._rel_h1)
+        iota_abs = self._iota_star(self._abs_h1)
+        iota_rel = self._iota_star(self._rel_h1)
+        self.iota_abs = [_fractions(row) for row in iota_abs]
+        self.iota_rel = [_fractions(row) for row in iota_rel]
 
-        self.abs_minus_basis = self._minus_basis(self.abs_basis, self.iota_abs)
-        self.rel_minus_basis = self._minus_basis(self.rel_basis, self.iota_rel)
+        # minus bases as (integer numerators, denominator)
+        self._abs_minus = self._minus_basis(self._abs_h1.basis, iota_abs)
+        self._rel_minus = self._minus_basis(self._rel_h1.basis, iota_rel)
+        self.abs_minus_basis = [_fractions(z, d) for z, d in self._abs_minus]
+        self.rel_minus_basis = [_fractions(z, d) for z, d in self._rel_minus]
 
         self.comparison = self._comparison_map()
 
@@ -335,16 +377,18 @@ class HomologyData:
         for f1, f2, _ in c.triangles:
             (i, si), (j, sj) = self._chain(f1), self._chain(f2)
             self._cup_terms.append((i, j) if si == sj else (j, i))
-        self._abs_map = self._cochain_map(self.abs_minus_basis)
+        self._abs_map = self._cochain_map(self._abs_minus)
         self._rel_map = None
         m = len(self.abs_minus_basis)
-        # the dual cocycles: the columns of the absolute-minus cochain map
-        duals = [self._abs_map([F1 if j == i else F0 for j in range(m)])
-                 for i in range(m)]
+        # the dual cocycles, the columns of the absolute-minus cochain map,
+        # as integer numerators over d_i; their cup product over 2 d_i d_j
+        duals = self._abs_map.integer_columns()
         G = [[F0] * m for _ in range(m)]
-        for i in range(m):
+        for i, (a, da) in enumerate(duals):
             for j in range(i + 1, m):
-                G[i][j] = self.cup_product_pairing(duals[i], duals[j])
+                b, db = duals[j]
+                cup = sum(a[p] * b[q] - a[q] * b[p] for p, q in self._cup_terms)
+                G[i][j] = Fraction(cup, 2 * da * db)
                 G[j][i] = -G[i][j]
         Ginv = mat_inverse(G) if m else []
         if m and Ginv is None:
@@ -362,58 +406,63 @@ class HomologyData:
         return self.rep_index[r], (1 if directed_edge == r else -1)
 
     def iota_chain(self, vec):
-        """Push a 1-chain (rep coordinates) through the involution."""
-        out = [F0] * len(self.reps)
+        """Push a 1-chain (rep coordinates) through the involution; an
+        integer chain stays integer."""
+        out = [0] * len(self.reps)
         for i, x in enumerate(vec):
-            if is_zero(x):
-                continue
-            j, sg = self._iota_edge[i]
-            out[j] += sg * x
+            if x:
+                j, sg = self._iota_edge[i]
+                out[j] += sg * x
         return out
 
     # -- homology bases ---------------------------------------------------------
     def _iota_star(self, h1):
+        """The integer matrix of iota_* on ``h1``'s basis."""
         cols = [h1.coords(self.iota_chain(b)) for b in h1.basis]
         n = len(h1.basis)
         m = [[cols[j][i] for j in range(n)] for i in range(n)]
         # involutivity check: iota*^2 = id
         for i in range(n):
             for j in range(n):
-                s = sum(m[i][k] * m[k][j] for k in range(n))
-                if s != (F1 if i == j else F0):
+                if sum(m[i][k] * m[k][j] for k in range(n)) != (i == j):
                     raise InconsistentFunctional("involution matrix is not an involution")
         return m
 
     def _minus_basis(self, basis, iota):
+        """The (-1)-eigenspace of ``iota`` on the integer ``basis``: one
+        anti-invariant cycle per nullspace vector k of iota + 1, as
+        (numerators, 2d) where d clears the denominators of k."""
         n = len(basis)
-        aplusid = [[iota[i][j] + (F1 if i == j else F0) for j in range(n)]
-                   for i in range(n)]
+        aplusid = [[iota[i][j] + (i == j) for j in range(n)] for i in range(n)]
         out = []
         for k in nullspace(aplusid):
-            cyc = [F0] * len(self.reps)
+            k, d = integer_vector(k)
+            cyc = [0] * len(self.reps)
             for j, coef in enumerate(k):
                 if coef:
                     cyc = [a + coef * b for a, b in zip(cyc, basis[j])]
-            anti = [(a - b) / 2 for a, b in zip(cyc, self.iota_chain(cyc))]
+            anti = [a - b for a, b in zip(cyc, self.iota_chain(cyc))]
             for a, b in zip(anti, self.iota_chain(anti)):
                 if a != -b:
                     raise InconsistentFunctional("failed to symmetrize eigenvector")
-            out.append(anti)
+            out.append((anti, 2 * d))
         return out
 
     def _comparison_map(self):
         """Columns: relative-minus coordinates of each absolute-minus basis cycle."""
-        if not self.abs_minus_basis:
+        if not self._abs_minus:
             return []
-        # one elimination of [relative-minus | absolute-minus] in relative coordinates
-        rel = [self._rel_h1.coords(c) for c in self.rel_minus_basis]
-        absm = [self._rel_h1.coords(c) for c in self.abs_minus_basis]
-        m = len(rel)
-        R, pivots = rref([[x[r] for x in rel + absm]
+        # one elimination of [relative-minus | absolute-minus] in relative
+        # coordinates, every row scaled by the common denominator
+        cols = self._rel_minus + self._abs_minus
+        den = lcm(*(d for _, d in cols))
+        coords = [[x * (den // d) for x in self._rel_h1.coords(z)] for z, d in cols]
+        m = len(self._rel_minus)
+        R, pivots = rref([[x[r] for x in coords]
                           for r in range(len(self.rel_basis))])
         if pivots != list(range(m)):
             raise InconsistentFunctional("comparison map undefined")
-        return [[R[j][m + i] for j in range(m)] for i in range(len(absm))]
+        return [[R[j][m + i] for j in range(m)] for i in range(len(self._abs_minus))]
 
     def _make_tag(self, base):
         payload = {
@@ -458,26 +507,26 @@ class HomologyData:
                 raise InconsistentFunctional("involution fixes a geometric edge")
             pos = len(pairs)
             pairs.append(i)
-            coeff[i] = (pos, F1)
+            coeff[i] = (pos, 1)
             # alpha(iota# rep_i) = -alpha(rep_i): iota#(rep_i) = sg * rep_j
-            coeff[j] = (pos, -sg * F1)
+            coeff[j] = (pos, -sg)
         return pairs, coeff
 
     def _cochain_row(self, chain_vec):
         """Rewrite a functional row over edge reps into pair variables."""
-        row = [F0] * len(self._pairs)
+        row = [0] * len(self._pairs)
         for i, x in enumerate(chain_vec):
-            if is_zero(x):
-                continue
-            pos, fac = self._pair_coeff[i]
-            row[pos] += fac * x
+            if x:
+                pos, sg = self._pair_coeff[i]
+                row[pos] += sg * x
         return row
 
     def _cochain_map(self, cycles):
+        """The cochain map of integer ``cycles``, each (numerators, d)."""
         return _CochainMap(
             len(self._pairs),
             [self._cochain_row(self._boundaries[t]) for t in self._orbit_triangles],
-            [self._cochain_row(z) for z in cycles],
+            [(self._cochain_row(z), d) for z, d in cycles],
             [self._pair_coeff[i] for i in range(len(self.reps))])
 
     def anti_invariant_cochain(self, cycles, values):
@@ -496,7 +545,7 @@ class HomologyData:
         values.  Returns values per edge rep (a dict).  For the minus bases,
         :meth:`cocycle_functional` reuses one elimination across calls.
         """
-        return self._cochain_map(cycles)(values)
+        return self._cochain_map(map(integer_vector, cycles))(values)
 
     def cocycle_functional(self, values, space="absolute"):
         """Closed anti-invariant cochain realizing a functional on a minus
@@ -505,7 +554,7 @@ class HomologyData:
         if space == "absolute":
             return self._abs_map(values)
         if self._rel_map is None:
-            self._rel_map = self._cochain_map(self.rel_minus_basis)
+            self._rel_map = self._cochain_map(self._rel_minus)
         return self._rel_map(values)
 
     def cochain_on_edge(self, cochain, directed_edge):

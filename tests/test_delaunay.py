@@ -141,3 +141,32 @@ def test_flip_record_violation_counts_match_rescan(mode):
         assert cur.triangles == d.triangles and cur.vec == d.vec, label
         flips += len(recs)
     assert flips > 50
+
+
+def _rescan_flip_variant(s, rng, n_flips):
+    """random_flip_variant with every edge re-tested before each flip."""
+    cur = s
+    for _ in range(n_flips):
+        edges = [e for e in cur.edges() if flippable(cur, e)]
+        if not edges:
+            break
+        cur = flip_edge(cur, rng.choice(edges))
+    return cur
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_random_flip_variant_matches_full_rescan(name):
+    base = bundled_surface(name)
+    for seed in range(12):
+        starts = [base, random_deform_variant(base, random.Random(seed))]
+        if seed < 3:
+            starts.append(base.to_float())
+        for s in starts:
+            n = random.Random(seed).randint(0, 9)
+            rng_a, rng_b = random.Random(f"flip/{seed}"), random.Random(f"flip/{seed}")
+            got = random_flip_variant(s, rng_a, n)
+            want = _rescan_flip_variant(s, rng_b, n)
+            assert got.triangles == want.triangles
+            assert got.vec == want.vec
+            assert got.glue == want.glue and got.marked == want.marked
+            assert rng_a.getstate() == rng_b.getstate()

@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from qdlab.exact import (
     QC,
     QC_I,
+    _rref_field,
     mat_inverse,
     nullspace,
     rank,
@@ -134,3 +137,147 @@ def test_rref_idempotent():
     R, piv = rref(A)
     R2, piv2 = rref(R)
     assert R == R2 and piv == piv2
+
+
+def test_qc_real_operand_matches_coerced_form():
+    from qdlab.exact import _coerce
+
+    rng = random.Random(11)
+    for _ in range(200):
+        z = QC(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        for x in (rng.randint(-9, 9),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+            full = _coerce(x)
+            for got, want in ((z * x, z * full), (x * z, full * z)):
+                assert got == want
+                assert type(got.re) is Fraction and type(got.im) is Fraction
+            if x:
+                got = z / x
+                assert got == z / full
+                assert type(got.re) is Fraction and type(got.im) is Fraction
+            if not z.is_zero():
+                assert x / z == full / z
+    with pytest.raises(ZeroDivisionError):
+        QC(1, 2) / 0
+    with pytest.raises(ZeroDivisionError):
+        QC(1, 2) / Fraction(0)
+    with pytest.raises(TypeError):
+        QC(1, 2) * 1.5
+
+
+# -- rref: the fraction-free path against the field elimination ---------------
+
+def _field_rref(matrix):
+    """The field elimination on the same matrix with Fraction entries, so it
+    never divides an int by an int."""
+    return _rref_field([[Fraction(x) for x in row] for row in matrix])
+
+
+def _seeded_matrices():
+    rng = random.Random(12)
+
+    def ints(rows, cols, span=5):
+        return [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
+
+    def rationals(rows, cols):
+        return _rand_matrix(rng, rows, cols)
+
+    def low_rank(rows, cols):
+        k = rng.randint(0, min(rows, cols) - 1)
+        a, b = ints(rows, k, 3), rationals(k, cols)
+        return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                 for j in range(cols)] for i in range(rows)]
+
+    def signs(rows, cols):
+        return [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def zero_rows(rows, cols):
+        m = rationals(rows, cols)
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            m[i] = [0] * cols
+        return m
+
+    def zero_cols(rows, cols):
+        m = ints(rows, cols)
+        for j in rng.sample(range(cols), rng.randint(1, cols)):
+            for row in m:
+                row[j] = Fraction(0)
+        return m
+
+    kinds = (ints, rationals, low_rank, signs, zero_rows, zero_cols)
+    out = [[], [[]], [[0]], [[Fraction(0), 0, 0]], [[2, 1]], [[-3]]]
+    for i in range(60):
+        kind = kinds[i % len(kinds)]
+        out.append(kind(rng.randint(5, 9), rng.randint(1, 3)))     # tall
+        out.append(kind(rng.randint(1, 3), rng.randint(5, 9)))     # wide
+        out.append(kind(1, rng.randint(1, 8)))                     # 1 x n
+        n = rng.randint(1, 7)
+        out.append(kind(n, n))                                     # square
+        out.append(kind(rng.randint(1, 8), rng.randint(1, 8)))
+    return out
+
+
+def _homology_matrices(monkeypatch):
+    """Every integer matrix HomologyData eliminates on the bundled surfaces:
+    its rref calls and those of nullspace and mat_inverse."""
+    import qdlab.exact as E
+    from qdlab.builders import bundled_names, bundled_surface
+    from qdlab.cover import build_cover
+    from qdlab.homology import HomologyData
+
+    seen = []
+    real = E._rref_integer
+
+    def record(matrix):
+        seen.append([list(row) for row in matrix])
+        return real(matrix)
+
+    monkeypatch.setattr(E, "_rref_integer", record)
+    for name in bundled_names():
+        h = HomologyData(build_cover(bundled_surface(name)))
+        h.cocycle_functional([QC(1)] * len(h.rel_minus_basis), space="relative")
+    monkeypatch.undo()
+    return seen
+
+
+def test_rref_matches_field_elimination(monkeypatch):
+    def check(matrix):
+        before = [list(row) for row in matrix]
+        R, pivots = rref(matrix)
+        assert matrix == before
+        assert (R, pivots) == _field_rref(matrix)
+        assert all(type(x) is Fraction for row in R for x in row)
+
+    mats = _seeded_matrices()
+    assert len(mats) >= 300
+    for matrix in mats:
+        check(matrix)
+    hom = _homology_matrices(monkeypatch)
+    assert len(hom) >= 4 * 5
+    for matrix in hom:
+        check(matrix)
+
+
+def test_rref_of_int_matrix_returns_fractions():
+    # int / int would give a float; the pivot division must not
+    R, pivots = rref([[2, 1]])
+    assert pivots == [0]
+    assert R == [[1, Fraction(1, 2)]]
+    assert [type(x) for x in R[0]] == [Fraction, Fraction]
+    assert rref([[4, 2], [6, 3]]) == ([[1, Fraction(1, 2)], [0, 0]], [0])
+    assert all(type(x) is Fraction for row in rref([[4, 2], [6, 3]])[0] for x in row)
+
+
+def test_rref_with_qc_entries_keeps_the_field_elimination():
+    A = [[QC(1, 1), Fraction(2)], [QC(0, 2), 3]]
+    assert rref(A) == _rref_field(A)
+    assert rref(A)[1] == [0, 1]
+    # an int pivot among QC entries is divided exactly, not into a float
+    R, pivots = rref([[2, 1, QC(1, 1)]])
+    assert pivots == [0] and R == [[1, Fraction(1, 2), QC(Fraction(1, 2), Fraction(1, 2))]]
+    assert [type(x) for x in R[0]] == [Fraction, Fraction, QC]
+    R, pivots = rref([[2, QC(1, 1)], [QC(0, 1), 3]])
+    assert pivots == [0, 1] and R == [[1, 0], [0, 1]]
+    assert solve([[2, 1]], [QC(1, 0)]) == [QC(Fraction(1, 2), 0), QC(0, 0)]
