@@ -30,9 +30,6 @@ class SigmaClassification:
     sigma_sm: frozenset       # marked singular points
     sigma_ub: frozenset       # unbranched special points: sigma_e | sigma_m_free
 
-    def sigma_all(self):
-        return self.sigma_o | self.sigma_e | self.sigma_m_free
-
     def as_json(self):
         return {
             "sigma_o": sorted(self.sigma_o),
@@ -103,14 +100,26 @@ class DoubleCover:
         # edge id, and its two lifts have their tails on all the preimages
         marked_up = [self.lift_edge(v, sheet) for v in base.marked
                      for sheet in (0, 1)]
-        self.cover_surface = FlatSurface(cover_tris, vec, glue, marked_up,
-                                         base.mode)
+        base_orders = base.orders()
 
+        def lifted_orders(vertices):
+            # a cover vertex over b turns once around b on each sheet it
+            # meets, so it has the angle (o_b + 2)*pi twice when b has one
+            # preimage and once when it has two
+            self._vertex_fiber = {}
+            over = {}
+            for cv in vertices:
+                over[cv] = base.vertex_at_tail(self.project_edge(cv)[0])
+                self._vertex_fiber.setdefault(over[cv], []).append(cv)
+            return {cv: 2 * (base_orders[b] + 2) // len(self._vertex_fiber[b]) - 2
+                    for cv, b in over.items()}
+
+        # each lifted triangle is a base triangle with its three vectors
+        # kept or all negated, so it is as valid as the base one
+        self.cover_surface = FlatSurface._derived(cover_tris, vec, glue,
+                                                  marked_up, base.mode, (),
+                                                  lifted_orders)
         self.classification = classify_points(base)
-        self._vertex_fiber = {}
-        for cv in self.cover_surface.vertices():
-            e, _ = self.project_edge(cv)
-            self._vertex_fiber.setdefault(base.vertex_at_tail(e), []).append(cv)
         self._check()
 
     # -- index maps ---------------------------------------------------------
@@ -126,10 +135,6 @@ class DoubleCover:
     def involution_triangle(self, cover_tri):
         ti, sheet = self._tri_info[cover_tri]
         return self._tri_lift[(ti, sheet ^ 1)]
-
-    def involution_vertex(self, cover_vertex):
-        c = self.cover_surface
-        return c.vertex_at_tail(self.involution_edge(cover_vertex))
 
     def vertex_fiber(self, base_vertex):
         return tuple(sorted(self._vertex_fiber.get(base_vertex, ())))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cover import DoubleCover, build_cover
+from .cover import DoubleCover
 from .errors import (
     BasisMismatch,
     DegenerateTriangle,
@@ -29,7 +29,7 @@ from .errors import (
     TriangleFlip,
 )
 from .exact import is_zero
-from .homology import HomologyData, homology_data
+from .homology import HomologyData
 from .periods import PeriodVector, period_map
 from .surface import FlatSurface, area, cross, dot
 
@@ -165,15 +165,3 @@ def fiber_distance(s: FlatSurface) -> float:
     if a >= 1:
         raise NormOutOfRange(f"area {a} >= 1; rescale the surface first")
     return math.atanh(a)
-
-
-def teich_disk_family(s: FlatSurface, d0: float) -> DeformationFamily:
-    """Linearization of the Teichmuller disk at lambda=0: v1 = 0,
-    v2 = u / sinh(2 d0)."""
-    cov = build_cover(s)
-    hom = homology_data(cov)
-    u = period_map(cov, hom).to_float()
-    sh = math.sinh(2.0 * d0)
-    v2 = u.scale(1.0 / sh)
-    v1 = u.scale(0.0)
-    return DeformationFamily(s, cov, hom, v1, v2, kind="teich-disk", u=u)

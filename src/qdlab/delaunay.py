@@ -156,7 +156,19 @@ def flip_edge(s: FlatSurface, e) -> FlatSurface:
         if not keep:
             raise DegenerateTriangle("marked vertex carried only by the diagonal")
         anchors.append(keep[0])
-    return FlatSurface(new_tris, new_vec, s.glue, anchors, s.mode)
+
+    # every edge but e and f keeps its tail, and a flip keeps every cone
+    # angle, so a vertex keeps the order of any such corner
+    old_orders = s.orders()
+
+    def carried_orders(vertices):
+        return {v: old_orders[s.vertex_at_tail(next(h for h in corners
+                                                    if h not in (e, f)))]
+                for v, corners in vertices.items()}
+
+    changed = sorted((s.triangle_of(e), s.triangle_of(f)))
+    return FlatSurface._derived(new_tris, new_vec, s.glue, anchors, s.mode,
+                                changed, carried_orders)
 
 
 def delaunayize(s: FlatSurface, max_rounds=None):

@@ -525,72 +525,6 @@ class PairingScenario:
             return sc
         raise RuntimeError("scenario generation failed")
 
-    @classmethod
-    def from_homology(cls, h: HomologyData, u, v1, v2, fiber=False):
-        """Scenario backed by actual period vectors of a surface.
-
-        Coordinates are taken on the absolute anti-invariant basis (relative
-        vectors restrict through the comparison map) and pair through the
-        surface's own intersection matrix.  ``u`` is rescaled by a rational
-        so that tanh d0 = i wedge(u, conj u)/4 lands in (0,1); with ``fiber``
-        the directions are exactly projected onto the holomorphic-family
-        relations (isotropy and vanishing first-variation pairing).
-        """
-        from .homology import _absolute_coords
-
-        Jinv = h.Jinv
-        sc = cls.__new__(cls)
-        sc.n = len(Jinv) // 2
-        sc._Jinv = Jinv
-        sc.dim = len(Jinv)
-        uc = [_as_qc_scalar(z) for z in _absolute_coords(h, u)]
-        sc.vectors = {"u": uc}
-        wuu = sc.w(uc, [z.conjugate() for z in uc])
-        t4 = (QC_I * wuu).re
-        if wuu.re != 0 or t4 <= 0:
-            raise NegativeNorm("u must have positive norm")
-        scale = F1
-        while scale * scale * t4 >= 4:
-            scale = scale / 2
-        uc = [QC(scale, 0) * z for z in uc]
-        sc.vectors = {"u": uc}
-        sc.T = scale * scale * t4 / 4
-        v1c = [_as_qc_scalar(z) for z in _absolute_coords(h, v1)]
-        v2c = [_as_qc_scalar(z) for z in _absolute_coords(h, v2)]
-        if fiber:
-            v1c = sc._project_fiber_v1(v1c)
-            v2c = sc._project_fiber_v2(v2c, v1c)
-        sc.vectors = {"u": uc, "v1": v1c, "v2": v2c}
-        return sc
-
-    def _project_fiber_v1(self, x):
-        u = self.vectors["u"]
-        ub = [z.conjugate() for z in u]
-        # kill w(x, u) with a ub-correction (w(ub, u) != 0, w(ub, ub) = 0)
-        x = _sub_mult(x, ub, self.w(x, u) / self.w(ub, u))
-        # kill w(x, ub) with a u-correction (does not disturb w(x, u))
-        x = _sub_mult(x, u, self.w(x, ub) / self.w(u, ub))
-        return x
-
-    def _project_fiber_v2(self, x, v1):
-        u = self.vectors["u"]
-        ub = [z.conjugate() for z in u]
-        x = _sub_mult(x, ub, self.w(x, u) / self.w(ub, u))
-        r = self.w(x, v1)
-        if not r.is_zero():
-            # correction z with w(z, u) = 0 and w(z, v1) != 0: project a
-            # standard basis vector off the u-condition and scan
-            for k in range(self.dim):
-                e = [QC(1, 0) if i == k else QC(0, 0) for i in range(self.dim)]
-                z = _sub_mult(e, ub, self.w(e, u) / self.w(ub, u))
-                wz = self.w(z, v1)
-                if not wz.is_zero():
-                    x = _sub_mult(x, z, r / wz)
-                    break
-            else:
-                raise InconsistentFunctional("cannot project onto the fiber")
-        return x
-
     def _sample_constrained(self, rng, conditions):
         """Random vector x with w(x, target) = 0 for each condition."""
         dim = self.dim
@@ -677,24 +611,10 @@ class PairingScenario:
         rhs = th / QC(self.T, 0)
         return lhs, rhs
 
-    def first_variation_exact(self):
-        """d_lambda on fiber data: the reduced first-variation form, exact."""
-        return QC(0, self.cosh2() / 4) * self.wc("u", "v2")
-
 
 def _rand_qc(rng, span=6):
     return QC(Fraction(rng.randint(-span, span), rng.randint(1, 4)),
               Fraction(rng.randint(-span, span), rng.randint(1, 4)))
-
-
-def _as_qc_scalar(z):
-    if isinstance(z, QC):
-        return z
-    return QC(Fraction(z), 0)
-
-
-def _sub_mult(x, z, factor):
-    return [a - factor * b for a, b in zip(x, z)]
 
 
 def scenario_identity_check(rng, count=1000, n=3) -> CheckReport:

@@ -22,6 +22,25 @@ developing the corner star into one chart and counting the real-axis
 crossings of each developed edge direction against the first edge (every
 corner of a nondegenerate triangle turns by strictly less than pi, so
 crossings count multiples of pi exactly).
+
+Every public construction -- ``FlatSurface(...)``, :func:`make_surface`,
+:func:`build_surface`, ``with_edge_vectors``, ``scaled`` and ``to_float`` --
+runs the full validation: gluing tables, every triangle (nonzero edges,
+closure, positive orientation), the signs, the marked ids, every vertex
+order from its corner star, no pole unmarked, and 2g-2+m > 0 per component.
+Two constructions derive a surface from an already validated one and skip
+only what their change cannot break (``FlatSurface._derived``):
+
+* ``delaunay.flip_edge`` checks the two new triangles alone and carries each
+  vertex order over from the parent, since a flip keeps every cone angle;
+* ``cover.DoubleCover`` checks no triangle, since each lifted triangle is a
+  base triangle with its vectors kept or all negated, and gives a cover
+  vertex over ``b`` the order ``2(o_b + 2)/|fiber(b)| - 2``.
+
+Both rebuild the incidence, vertex orbits and components, derive the signs,
+and run the integer checks (orders >= -1, no unmarked pole, 2g-2+m > 0).  In
+float mode a derived surface's orders are the parent's, not re-measured
+angle sums.
 """
 
 from __future__ import annotations
@@ -62,7 +81,9 @@ class FlatSurface:
     Instances are immutable after construction; every operation returns a new
     surface.  Outside input goes through :func:`build_surface` (raw dict) or
     :func:`make_surface` (programmatic), which also check the declared signs
-    and marked vertex ids.
+    and marked vertex ids.  The constructor validates everything; edge flips
+    and double covers are derived from a validated surface with the checks
+    their change needs (see the module docstring).
     """
 
     __slots__ = (
@@ -85,13 +106,34 @@ class FlatSurface:
     def __init__(self, triangles, vec, glue, marked, mode):
         """``marked`` holds, per marked vertex, any directed edge whose tail
         sits on it; the gluing signs are derived from the vectors."""
+        self._build(triangles, vec, glue, mode)
+        self._validate(marked, range(len(self.triangles)))
+
+    @classmethod
+    def _derived(cls, triangles, vec, glue, marked, mode, changed, orders):
+        """Surface derived from validated geometry by a change its caller
+        vouches for outside the triangles ``changed``.
+
+        Only the triangles ``changed`` get the nonzero, closure and
+        orientation checks.  ``orders`` takes the new vertex table (id ->
+        corner tuple) and returns {id: order} in the same key order, in
+        place of the corner star development.  Everything else is built and
+        checked as by ``__init__``, and nothing is taken from the parent:
+        components are recomputed and the homology memo starts empty.
+        """
+        s = cls.__new__(cls)
+        s._build(triangles, vec, glue, mode)
+        s._orders = orders(s._vertices)
+        s._validate(marked, changed)
+        return s
+
+    def _build(self, triangles, vec, glue, mode):
         self.triangles = tuple(tuple(t) for t in triangles)
         self.vec = dict(vec)
         self.glue = dict(glue)
         self.mode = mode
         self._build_incidence()
         self._build_vertices()
-        self._validate(marked)
 
     # -- combinatorial incidence -----------------------------------------
     def _build_incidence(self):
@@ -134,7 +176,9 @@ class FlatSurface:
         self._homology = None  # set by homology.homology_data
 
     # -- validation --------------------------------------------------------
-    def _validate(self, marked):
+    def _validate(self, marked, triangles):
+        """Check the tables, the given triangles, the signs, the marked ids,
+        and the orders and topology of every vertex and component."""
         edges = set(self._tri_of)
         if set(self.vec) != edges:
             raise GluingMismatch("edge-vector table does not match triangle edges")
@@ -145,7 +189,8 @@ class FlatSurface:
                 raise GluingMismatch(f"edge {e} glued to itself")
             if self.glue.get(f) != e:
                 raise GluingMismatch(f"gluing not involutive at ({e}, {f})")
-        for ti, (a, b, c) in enumerate(self.triangles):
+        for ti in triangles:
+            a, b, c = self.triangles[ti]
             va, vb, vcv = self.vec[a], self.vec[b], self.vec[c]
             for e, v in ((a, va), (b, vb), (c, vcv)):
                 if is_zero(v):

@@ -27,7 +27,8 @@ def test_pillowcase_cover_is_torus():
     for p in c.classification.sigma_o:
         assert len(c.vertex_fiber(p)) == 1
     # involution fixes the four branch vertices, acts freely on edges
-    fixed = [v for v in cs.vertices() if c.involution_vertex(v) == v]
+    fixed = [v for v in cs.vertices()
+             if cs.vertex_at_tail(c.involution_edge(v)) == v]
     assert len(fixed) == 4
     for f in cs.edges():
         assert c.involution_edge(f) != f
@@ -100,7 +101,8 @@ class TestClassification:
         for name in ("pillowcase", "marked_torus", "l_origami",
                      "genus2_generic"):
             cls = classify_points(bundled_surface(name))
-            assert cls.sigma_all() == cls.sigma_ub | cls.sigma_o
+            assert (cls.sigma_o | cls.sigma_e | cls.sigma_m_free
+                    == cls.sigma_ub | cls.sigma_o)
             assert not (cls.sigma_ub & cls.sigma_o)
             assert len(cls.sigma_o) % 2 == 0
 

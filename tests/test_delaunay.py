@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,8 +20,8 @@ from qdlab.delaunay import (
     incircle_certificate,
     is_delaunay,
 )
-from qdlab.errors import DegenerateTriangle
-from qdlab.surface import area, symbol
+from qdlab.errors import ClosureViolation, DegenerateTriangle
+from qdlab.surface import area, make_surface, symbol
 
 
 def test_square_torus_cocircular_accepted():
@@ -93,6 +94,42 @@ def test_unflippable_self_glued_skipped():
             assert not flippable(s, e)
             with pytest.raises(DegenerateTriangle):
                 flip_edge(s, e)
+
+
+def test_flip_of_an_edge_glued_within_its_triangle_is_refused():
+    # no valid surface has such an edge (vec(e') = +-vec(e) flattens the
+    # triangle), so the refusal is exercised on a bare gluing table
+    s = SimpleNamespace(glue={0: 1, 1: 0}, triangle_of=lambda e: 0)
+    with pytest.raises(DegenerateTriangle,
+                       match=r"^edge 0 is unflippable \(self-glued triangle\)$"):
+        flip_edge(s, 0)
+
+
+def test_flip_of_a_folding_quad_is_refused():
+    folding = 0
+    for name in bundled_names():
+        for seed in range(4):
+            s = random_flip_variant(bundled_surface(name), random.Random(seed))
+            for e in s.edges():
+                if s.triangle_of(e) != s.triangle_of(s.glue[e]) and not flippable(s, e):
+                    folding += 1
+                    with pytest.raises(DegenerateTriangle,
+                                       match=f"^flip of edge {e} would fold the quad$"):
+                        flip_edge(s, e)
+    assert folding > 0
+
+
+def test_float_flip_checks_closure_of_its_new_triangles():
+    # a rhombus torus flipped from its long diagonal (length 2) to its short
+    # one (length 1); the triangle across the long one closes to 1.5e-9,
+    # within 1e-9 of its longest edge but not of the new triangles' sqrt(5)/2
+    vecs = {0: 2 + 0j, 1: -1 + 0.5j, 2: -1 - 0.5j,
+            3: -2 + 1.5e-9j, 4: 1 - 0.5j, 5: 1 + 0.5j}
+    s = make_surface([(0, 1, 2), (3, 4, 5)], vecs,
+                     [(0, 3, 1), (1, 4, 1), (2, 5, 1)], marked=[0], mode="float")
+    assert flippable(s, 0)
+    with pytest.raises(ClosureViolation, match="^triangle 0 does not close$"):
+        flip_edge(s, 0)
 
 
 def test_random_small_surfaces_property(seed=101):

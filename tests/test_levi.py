@@ -8,10 +8,10 @@ import pytest
 
 from qdlab.builders import bundled_surface
 from qdlab.cover import build_cover
-from qdlab.deformation import DeformationFamily, teich_disk_family
+from qdlab.deformation import DeformationFamily
 from qdlab.errors import InconsistentFunctional, NegativeNorm
 from qdlab.exact import QC, QC_I
-from qdlab.homology import homology_data, wedge
+from qdlab.homology import _absolute_coords, homology_data, wedge
 from qdlab.levi import (
     FDConfig,
     PairingScenario,
@@ -36,6 +36,16 @@ def _scaled_ctx(name="pillowcase", scale=Fraction(1, 2)):
     c = build_cover(s)
     h = homology_data(c)
     return s, c, h
+
+
+def _teich_disk_family(s, d0):
+    """Linearization of the Teichmuller disk at lambda=0: v1 = 0,
+    v2 = u / sinh(2 d0)."""
+    cov = build_cover(s)
+    hom = homology_data(cov)
+    u = period_map(cov, hom).to_float()
+    v2 = u.scale(1.0 / math.sinh(2.0 * d0))
+    return DeformationFamily(s, cov, hom, u.scale(0.0), v2, kind="teich-disk", u=u)
 
 
 def _rand_rel(h, rng, span=4, scale=Fraction(1, 12)):
@@ -137,7 +147,7 @@ class TestFirstVariation:
         # the Teichmuller disk gives d_lambda = 1/2 exactly
         s = bundled_surface("marked_torus").scaled(Fraction(4, 5))
         d0 = math.atanh(float(area(s)))
-        fam = teich_disk_family(s, d0)
+        fam = _teich_disk_family(s, d0)
         rep = first_variation_check(fam, FDConfig(tolerance=1e-6))
         formula = complex(*rep.cases[0]["formula"])
         assert abs(formula - 0.5) < 1e-12
@@ -311,9 +321,7 @@ class TestScenarios:
     def test_first_variation_real_on_fiber(self):
         rng = random.Random(61)
         sc = PairingScenario.random(rng, fiber=True)
-        d_lam = sc.first_variation_exact()
-        # conj(d_lambda) relates to d_lambda-bar: no constraint in general,
-        # but the Levi form built from it must be real
+        # the Levi form built from the first variation must be real
         lap = sc.laplacian_paper_formula()
         assert lap.im == 0
 
@@ -335,6 +343,67 @@ def test_third_differences_vanish():
     assert abs(third) < 1e-9
 
 
+def _sub_mult(x, z, factor):
+    return [a - factor * b for a, b in zip(x, z)]
+
+
+def _project_fiber_v1(sc, x):
+    u = sc.vectors["u"]
+    ub = [z.conjugate() for z in u]
+    # kill w(x, u) with a ub-correction (w(ub, u) != 0, w(ub, ub) = 0)
+    x = _sub_mult(x, ub, sc.w(x, u) / sc.w(ub, u))
+    # kill w(x, ub) with a u-correction (does not disturb w(x, u))
+    return _sub_mult(x, u, sc.w(x, ub) / sc.w(u, ub))
+
+
+def _project_fiber_v2(sc, x, v1):
+    u = sc.vectors["u"]
+    ub = [z.conjugate() for z in u]
+    x = _sub_mult(x, ub, sc.w(x, u) / sc.w(ub, u))
+    r = sc.w(x, v1)
+    if not r.is_zero():
+        # correction z with w(z, u) = 0 and w(z, v1) != 0: project a
+        # standard basis vector off the u-condition and scan
+        for k in range(sc.dim):
+            e = [QC(1, 0) if i == k else QC(0, 0) for i in range(sc.dim)]
+            z = _sub_mult(e, ub, sc.w(e, u) / sc.w(ub, u))
+            wz = sc.w(z, v1)
+            if not wz.is_zero():
+                return _sub_mult(x, z, r / wz)
+        raise InconsistentFunctional("cannot project onto the fiber")
+    return x
+
+
+def _scenario_from_homology(h, u, v1, v2):
+    """PairingScenario backed by actual period vectors of a surface.
+
+    Coordinates are taken on the absolute anti-invariant basis (relative
+    vectors restrict through the comparison map) and pair through the
+    surface's own intersection matrix.  ``u`` is rescaled by a rational so
+    that tanh d0 = i wedge(u, conj u)/4 lands in (0,1), and the directions
+    are exactly projected onto the holomorphic-family relations (isotropy
+    and vanishing first-variation pairing).
+    """
+    def coords(x):
+        return [z if isinstance(z, QC) else QC(z, 0) for z in _absolute_coords(h, x)]
+
+    n = len(h.Jinv) // 2
+    uc = coords(u)
+    # wc reads only the pairing, so any tanh d0 serves until u is scaled
+    wuu = PairingScenario(n, {}, Fraction(1, 2), Jinv=h.Jinv).wc(uc, uc)
+    t4 = (QC_I * wuu).re
+    if wuu.re != 0 or t4 <= 0:
+        raise NegativeNorm("u must have positive norm")
+    scale = Fraction(1)
+    while scale * scale * t4 >= 4:
+        scale = scale / 2
+    uc = [QC(scale, 0) * z for z in uc]
+    sc = PairingScenario(n, {"u": uc}, scale * scale * t4 / 4, Jinv=h.Jinv)
+    v1c = _project_fiber_v1(sc, coords(v1))
+    sc.vectors.update(v1=v1c, v2=_project_fiber_v2(sc, coords(v2), v1c))
+    return sc
+
+
 class TestScenarioFromHomology:
     def test_fiber_identities_on_surface_data(self):
         rng = random.Random(71)
@@ -354,7 +423,7 @@ class TestScenarioFromHomology:
                              Fraction(rng.randint(-4, 4), 3))
                           for _ in range(h.rank_rel_minus())),
                     h.basis_tag, "relative", "exact")
-                sc = PairingScenario.from_homology(h, u, v1, v2, fiber=True)
+                sc = _scenario_from_homology(h, u, v1, v2)
                 # the projections enforce the family relations exactly
                 uc = sc.vectors["u"]
                 assert QC_I * sc.w(uc, [z.conjugate() for z in uc]) \
@@ -379,4 +448,4 @@ class TestScenarioFromHomology:
         u = period_map(c, h)
         z = u.zero_like()
         with pytest.raises(NegativeNorm):
-            PairingScenario.from_homology(h, z, u, u)
+            _scenario_from_homology(h, z, u, u)

@@ -1,6 +1,7 @@
 """Core surface validation, orders, symbol, area, stratum dimension."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from qdlab.builders import (
     l_origami,
     marked_torus,
     pillowcase,
+    random_deform_variant,
     skewed_torus,
 )
+from qdlab.cover import build_cover
+from qdlab.delaunay import flip_edge, flippable
 from qdlab.errors import (
     ClosureViolation,
     DegenerateTriangle,
@@ -23,7 +27,14 @@ from qdlab.errors import (
     UnmarkedPole,
 )
 from qdlab.exact import QC
-from qdlab.surface import area, make_surface, make_symbol, stratum_dim, symbol
+from qdlab.surface import (
+    FlatSurface,
+    area,
+    make_surface,
+    make_symbol,
+    stratum_dim,
+    symbol,
+)
 
 
 def angle_sum_oracle(s, v):
@@ -194,3 +205,71 @@ def test_area_invariant_under_triangle_relabeling():
     s2 = make_surface(perm, s.vec, gl, marked=s.marked)
     assert area(s2) == area(s)
     assert symbol(s2) == symbol(s)
+
+
+# ---------------------------------------------------------------------------
+# surfaces derived from a validated parent (flip_edge, DoubleCover)
+# ---------------------------------------------------------------------------
+
+def _flip_chains():
+    """Every surface of seeded chains of 1-6 flips from the bundled surfaces,
+    their deform variants and the float copies of both."""
+    for name in bundled_names():
+        base = bundled_surface(name)
+        for seed in range(3):
+            rng = random.Random(f"derived/{name}/{seed}")
+            deformed = random_deform_variant(base, rng)
+            for start in (base, deformed, base.to_float(), deformed.to_float()):
+                cur = start
+                for _ in range(rng.randint(1, 6)):
+                    edges = [e for e in cur.edges() if flippable(cur, e)]
+                    if not edges:
+                        break
+                    cur = flip_edge(cur, rng.choice(edges))
+                    yield f"{name}/{seed}/{start.mode}", cur
+
+
+def _assert_same_surface(got, want, label):
+    assert got.triangles == want.triangles, label
+    for field in ("vec", "glue", "sign", "_vertex_of", "_vertices"):
+        assert (list(getattr(got, field).items())
+                == list(getattr(want, field).items())), (label, field)
+    assert got.marked == want.marked and got.mode == want.mode, label
+    assert list(got.orders().items()) == list(want.orders().items()), label
+    assert got.components() == want.components(), label
+
+
+def _revalidated(t):
+    return FlatSurface(t.triangles, t.vec, t.glue, list(t.marked), t.mode)
+
+
+def test_derived_surfaces_equal_their_full_validation():
+    flips = floats = 0
+    for label, t in _flip_chains():
+        _assert_same_surface(t, _revalidated(t), label)
+        c = build_cover(t).cover_surface
+        _assert_same_surface(c, _revalidated(c), label + "/cover")
+        flips += 1
+        floats += t.mode == "float"
+    assert flips > 100 and floats > 40
+
+
+def test_derived_surfaces_skip_the_corner_star_development(monkeypatch):
+    calls = []
+    develop = FlatSurface._vertex_order_exact
+
+    def counted(self, corner_edges):
+        calls.append(corner_edges)
+        return develop(self, corner_edges)
+
+    monkeypatch.setattr(FlatSurface, "_vertex_order_exact", counted)
+    s = genus2_generic()
+    assert len(calls) >= 1
+    calls.clear()
+    t = flip_edge(s, next(e for e in s.edges() if flippable(s, e)))
+    build_cover(s)
+    build_cover(t)
+    assert calls == []
+    make_surface(t.triangles, t.vec,
+                 [(e, t.glue[e], t.sign[e]) for e in t.edges() if e < t.glue[e]])
+    assert len(calls) >= 1
