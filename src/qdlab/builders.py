@@ -178,28 +178,17 @@ def bundled_surface_path(name):
 def random_flip_variant(s: FlatSurface, rng, n_flips=6) -> FlatSurface:
     """Apply up to ``n_flips`` random valid edge flips.
 
-    Each flip picks uniformly among the flippable edges, listed in
-    ``edges()`` order.  A flip changes only the quads of the edges on its
-    two new triangles and of their glue partners, so only those are
-    re-tested before the next pick.
+    Before each flip every edge is tested with ``flippable``, and the flip
+    picks uniformly among the flippable ones, listed in ``edges()`` order.
     """
     from .delaunay import flip_edge, flippable
 
     cur = s
-    ok = None
-    e = None
     for _ in range(n_flips):
-        if ok is None:
-            ok = {h: flippable(cur, h) for h in cur.edges()}
-        else:
-            for h in {x for t in (cur.triangle_of(e), cur.triangle_of(cur.glue[e]))
-                      for h in cur.triangles[t] for x in (h, cur.glue[h])}:
-                ok[h] = flippable(cur, h)
-        edges = [h for h in cur.edges() if ok[h]]
+        edges = [h for h in cur.edges() if flippable(cur, h)]
         if not edges:
             break
-        e = rng.choice(edges)
-        cur = flip_edge(cur, e)
+        cur = flip_edge(cur, rng.choice(edges))
     return cur
 
 

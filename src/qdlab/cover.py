@@ -65,7 +65,8 @@ class DoubleCover:
     ``cover_surface`` is itself a :class:`FlatSurface` (possibly with two
     components when the base differential is a square).  Cover directed-edge
     ids are ``2*i + sheet`` where ``i`` is the index of the base edge in
-    sorted order; this makes the involution the cheap bit flip ``id ^ 1``.
+    sorted order, and cover triangle ``2*ti + sheet`` lies over base triangle
+    ``ti``; this makes the involution the cheap bit flip ``id ^ 1`` on both.
     """
 
     def __init__(self, base: FlatSurface):
@@ -74,14 +75,8 @@ class DoubleCover:
         self._edge_index = {e: i for i, e in enumerate(base_edges)}
         self._edge_list = base_edges
 
-        cover_tris = []
-        tri_info = []  # (base_tri, sheet) per cover triangle
-        for ti, tri in enumerate(base.triangles):
-            for sheet in (0, 1):
-                cover_tris.append(tuple(self.lift_edge(e, sheet) for e in tri))
-                tri_info.append((ti, sheet))
-        self._tri_info = tuple(tri_info)
-        self._tri_lift = {info: idx for idx, info in enumerate(tri_info)}
+        cover_tris = [tuple(self.lift_edge(e, sheet) for e in tri)
+                      for tri in base.triangles for sheet in (0, 1)]
 
         vec = {}
         for e in base_edges:
@@ -133,8 +128,7 @@ class DoubleCover:
         return cover_edge ^ 1
 
     def involution_triangle(self, cover_tri):
-        ti, sheet = self._tri_info[cover_tri]
-        return self._tri_lift[(ti, sheet ^ 1)]
+        return cover_tri ^ 1
 
     def vertex_fiber(self, base_vertex):
         return tuple(sorted(self._vertex_fiber.get(base_vertex, ())))

@@ -1,10 +1,22 @@
 """Delaunay triangulations of flat surfaces via edge flips.
 
-For an interior edge, develop its two adjacent triangles into the plane
-(handling the +-1 gluing sign: a -1 gluing develops the neighbor through a
-point reflection) and test the local empty-circumcircle condition with the
-exact 3x3 incircle determinant.  Cocircular configurations count as Delaunay
-(non-strict predicate), which makes the flip loop terminate deterministically.
+An edge e, glued to f with sign sigma, is the diagonal of the quad made of
+its two triangles.  Write A = vec(next e), B = vec(prev e), C = vec(next f)
+and D = vec(prev f).  Chart e's triangle as P0 = 0, P1 = vec(e),
+P2 = vec(e) + A; the neighbor develops by z -> P1 + sigma*z (a point
+reflection when sigma = -1), and since sigma*vec(f) = -vec(e) its far corner
+lands at Q = sigma*C.  Every predicate reads the four sides:
+
+* e is flippable when the flip's new triangles (sigma*D, A, -G) and
+  (B, sigma*C, G), with G = P2 - Q, are positively oriented:
+  sigma*cross(D, A) > 0 and sigma*cross(B, C) > 0.  This is the orientation
+  test the flipped surface's validation runs, and it is symmetric in
+  e <-> glue(e).
+* the incircle value is the exact incircle determinant of P0, P1, P2
+  relative to Q, turned by sigma: of a = -C, b = D, c = D + sigma*A.  It is
+  positive iff Q lies strictly inside the circumcircle of (P0, P1, P2).
+  Cocircular configurations count as Delaunay (non-strict predicate), which
+  makes the flip loop terminate deterministically.
 
 Edges whose two sides lie on the same triangle are unflippable and are
 skipped; they can never violate the (strict) condition anyway in the
@@ -16,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateTriangle, NonTerminating
-from .surface import FlatSurface, cross
+from .surface import FlatSurface, cross, dot
 
 
 @dataclass(frozen=True)
@@ -28,64 +40,15 @@ class FlipRecord:
     violations_after: int
 
 
-def _develop_quad(s: FlatSurface, e):
-    """Develop the two triangles adjacent to e into one chart.
-
-    Returns (P0, P1, P2, Q) where the shared edge runs P0 -> P1, the far
-    vertex of e's triangle is P2 and the far vertex of the neighbor is Q;
-    plus the chart scalar sgn (+-1) of the neighbor development.
-    """
-    f = s.glue[e]
-    E = s.vec[e]
-    A = s.vec[s.next_edge(e)]
-    P0 = E * 0
-    P1 = E
-    P2 = E + A
-    Efp = s.vec[f]
-    # develop neighbor: z -> P1 + sgn*z with sgn*vec(f) = -E;
-    # vec(f) = -sigma*vec(e), so sgn = sigma
-    sgn = s.sign[e]
-    C = s.vec[s.next_edge(f)]
-    Q = P1 + sgn * (Efp + C)
-    return P0, P1, P2, Q, sgn
-
-
-def _incircle(a, b, c, d):
-    """> 0 iff d is strictly inside the circumcircle of ccw triangle (a,b,c).
-
-    Standard 3x3 determinant after translating d to the origin.
-    """
-    ax, ay = a.re, a.im
-    bx, by = b.re, b.im
-    cx, cy = c.re, c.im
-    dx, dy = d.re, d.im
-    adx, ady = ax - dx, ay - dy
-    bdx, bdy = bx - dx, by - dy
-    cdx, cdy = cx - dx, cy - dy
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    return (adx * (bdy * clift - cdy * blift)
-            - ady * (bdx * clift - cdx * blift)
-            + alift * (bdx * cdy - cdx * bdy))
-
-
-class _F:
-    """Tiny adapter so floats expose .re/.im like QC."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, z):
-        z = complex(z)
-        self.re, self.im = z.real, z.imag
-
-
 def incircle_certificate(s: FlatSurface, e):
     """Incircle value of the quad at edge e (positive = violates Delaunay)."""
-    P0, P1, P2, Q, _ = _develop_quad(s, e)
-    if s.mode == "float":
-        P0, P1, P2, Q = _F(P0), _F(P1), _F(P2), _F(Q)
-    return _incircle(P0, P1, P2, Q)
+    f = s.glue[e]
+    sgn = s.sign[e]
+    A = s.vec[s.next_edge(e)]
+    C, D = s.vec[s.next_edge(f)], s.vec[s.prev_edge(f)]
+    a, b, c = -C, D, D + sgn * A
+    return (dot(a, a) * cross(b, c) + dot(b, b) * cross(c, a)
+            + dot(c, c) * cross(a, b))
 
 
 def flippable(s: FlatSurface, e):
@@ -93,9 +56,9 @@ def flippable(s: FlatSurface, e):
     f = s.glue[e]
     if s.triangle_of(e) == s.triangle_of(f):
         return False
-    P0, P1, P2, Q, _ = _develop_quad(s, e)
-    # new triangles (Q, P1, P2) and (P2, P0, Q)
-    return (cross(P1 - Q, P2 - Q) > 0) and (cross(P0 - P2, Q - P2) > 0)
+    sgn = s.sign[e]
+    return (sgn * cross(s.vec[s.prev_edge(f)], s.vec[s.next_edge(e)]) > 0
+            and sgn * cross(s.vec[s.prev_edge(e)], s.vec[s.next_edge(f)]) > 0)
 
 
 def _violates(s: FlatSurface, r):
@@ -124,16 +87,17 @@ def flip_edge(s: FlatSurface, e) -> FlatSurface:
         raise DegenerateTriangle(f"edge {e} is unflippable (self-glued triangle)")
     if not flippable(s, e):
         raise DegenerateTriangle(f"flip of edge {e} would fold the quad")
-    _, P1, P2, Q, sgn = _develop_quad(s, e)
-
+    sgn = s.sign[e]
     a1, a2 = s.next_edge(e), s.prev_edge(e)      # A = vec(a1), B = vec(a2)
     b1, b2 = s.next_edge(f), s.prev_edge(f)      # C = vec(b1), D = vec(b2)
-    A, B = s.vec[a1], s.vec[a2]
     C, D = s.vec[b1], s.vec[b2]
 
-    # new diagonal from Q to P2 (developed chart); reuse ids e (in the
-    # triangle that keeps a1) and f.
-    G = P2 - Q
+    # new diagonal from Q to P2 (e's triangle charted at P0 = 0, P1 = vec e),
+    # with Q developed through vec(f) so that a float closure error of f's
+    # triangle reaches the new ones; reuse ids e (in the triangle that keeps
+    # a1) and f.
+    E = s.vec[e]
+    G = (E + s.vec[a1]) - (E + sgn * (s.vec[f] + C))
     new_tris = []
     for ti, tri in enumerate(s.triangles):
         if ti == s.triangle_of(e):
@@ -193,8 +157,6 @@ def delaunayize(s: FlatSurface, max_rounds=None):
                 raise NonTerminating(
                     f"flip loop exceeded {max_rounds} flips (mode={s.mode})"
                 )
-            if cur.glue.get(e) is None:
-                continue
             cert = incircle_certificate(cur, e)
             if cert <= 0:
                 continue

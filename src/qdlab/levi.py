@@ -84,15 +84,13 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 class WedgeTable:
-    """All pairings wedge(x, conj(y)) and wedge(x, y) for x,y in (u, v1, v2)."""
+    """All pairings wedge(x, conj(y)) for x,y in (u, v1, v2)."""
 
     KEYS = ("u", "v1", "v2")
 
     def __init__(self, h: HomologyData, u, v1, v2):
         vecs = {"u": u, "v1": v1, "v2": v2}
         self.wc = {a: {b: wedge(h, vecs[a], vecs[b].conjugate())
-                       for b in self.KEYS} for a in self.KEYS}
-        self.wp = {a: {b: wedge(h, vecs[a], vecs[b])
                        for b in self.KEYS} for a in self.KEYS}
 
     @classmethod

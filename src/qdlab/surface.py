@@ -208,20 +208,19 @@ class FlatSurface:
         # the gluing relation vec(e') = -sigma*vec(e) fixes sigma
         self.sign = {}
         for e, f in self.glue.items():
+            if e in self.sign:
+                continue
             ve, vf = self.vec[e], self.vec[f]
             if self.mode == "exact":
-                if vf == -ve:
-                    self.sign[e] = 1
-                elif vf == ve:
-                    self.sign[e] = -1
+                sg = 1 if vf == -ve else -1 if vf == ve else 0
             else:
-                tol = 1e-9 * max(1.0, abs(complex(vf)))
-                if abs(complex(vf + ve)) <= tol:
-                    self.sign[e] = 1
-                elif abs(complex(vf - ve)) <= tol:
-                    self.sign[e] = -1
-            if e not in self.sign:
+                # the tighter of the two sides' tolerances 1e-9*max(1, |v|)
+                tol = 1e-9 * max(1.0, min(abs(complex(ve)), abs(complex(vf))))
+                sg = (1 if abs(complex(vf + ve)) <= tol
+                      else -1 if abs(complex(vf - ve)) <= tol else 0)
+            if not sg:
                 raise GluingMismatch(f"vec({f}) != +-vec({e})")
+            self.sign[e] = self.sign[f] = sg
         for e in marked:
             if e not in self._vertex_of:
                 raise SurfaceError(f"marked vertex {e} is not a vertex id")

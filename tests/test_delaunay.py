@@ -85,21 +85,11 @@ def test_flip_preserves_quad_sides():
     assert outer == outer2
 
 
-def test_unflippable_self_glued_skipped():
-    # a surface where an edge sees the same triangle on both sides cannot be
-    # flipped; is_delaunay must simply skip it
-    s = bundled_surface("pillowcase")
-    for e in s.edges():
-        if s.triangle_of(e) == s.triangle_of(s.glue[e]):
-            assert not flippable(s, e)
-            with pytest.raises(DegenerateTriangle):
-                flip_edge(s, e)
-
-
 def test_flip_of_an_edge_glued_within_its_triangle_is_refused():
     # no valid surface has such an edge (vec(e') = +-vec(e) flattens the
     # triangle), so the refusal is exercised on a bare gluing table
     s = SimpleNamespace(glue={0: 1, 1: 0}, triangle_of=lambda e: 0)
+    assert not flippable(s, 0)
     with pytest.raises(DegenerateTriangle,
                        match=r"^edge 0 is unflippable \(self-glued triangle\)$"):
         flip_edge(s, 0)
@@ -130,6 +120,27 @@ def test_float_flip_checks_closure_of_its_new_triangles():
     assert flippable(s, 0)
     with pytest.raises(ClosureViolation, match="^triangle 0 does not close$"):
         flip_edge(s, 0)
+
+
+def test_float_flips_of_flippable_edges_succeed():
+    # a float quad with three nearly collinear corners must not read as
+    # flippable unless both new triangles pass the flipped surface's
+    # orientation check
+    flips = 0
+    for name in bundled_names():
+        base = bundled_surface(name)
+        for k in range(15):
+            rng = random.Random(f"x{name}/{k}")
+            v = random_flip_variant(random_deform_variant(base, rng), rng,
+                                    rng.randint(0, 6))
+            y = v.scaled(0.3 + 1.7j) if k % 2 else v.to_float().scaled(1 / 3)
+            for e in y.edges():
+                if flippable(y, e):
+                    flip_edge(y, e)
+                    flips += 1
+            for seed in range(20):
+                random_flip_variant(y, random.Random(seed), 4)
+    assert flips > 0
 
 
 def test_random_small_surfaces_property(seed=101):
