@@ -28,7 +28,7 @@ from .errors import (
     SurfaceError,
     TriangleFlip,
 )
-from .homology import HomologyData
+from .homology import HomologyData, cocycle_representative
 from .periods import PeriodVector, period_map
 from .surface import FlatSurface, area, cross, dot
 
@@ -84,18 +84,21 @@ def geodesic_flow(s: FlatSurface, t: float) -> FlatSurface:
 # piecewise affine deformation
 # ---------------------------------------------------------------------------
 
+def _check_relative(h: HomologyData, v: PeriodVector):
+    if v.basis_tag != h.basis_tag:
+        raise BasisMismatch("vector bound to a different basis")
+    if v.space != "relative":
+        raise BasisMismatch("affine deformations use relative-basis vectors")
+
+
 def lift_to_cochain(h: HomologyData, v: PeriodVector):
     """Closed anti-invariant cochain realizing a relative-basis functional.
 
     Returns values on directed cover edges; vanishes on the deterministic
     complement of the cycle space chosen by the solver.
     """
-    if v.basis_tag != h.basis_tag:
-        raise BasisMismatch("vector bound to a different basis")
-    if v.space != "relative":
-        raise BasisMismatch("affine deformations use relative-basis vectors")
-    per_rep = h.cocycle_functional(list(v.coords), space="relative")
-    return {f: h.cochain_on_edge(per_rep, f) for f in h.csurf.edges()}
+    _check_relative(h, v)
+    return cocycle_representative(h, v.coords, "relative")
 
 
 def affine_deform(c: DoubleCover, h: HomologyData, v: PeriodVector) -> DoubleCover:
@@ -104,12 +107,13 @@ def affine_deform(c: DoubleCover, h: HomologyData, v: PeriodVector) -> DoubleCov
     The new cover satisfies period_map(new) = period_map(old) + v exactly.
     Raises TriangleFlip when some deformed triangle degenerates or reverses.
     """
-    cochain = lift_to_cochain(h, v)
+    _check_relative(h, v)
+    per_rep = h.cocycle_functional(list(v.coords), space="relative")
     # the cochain is anti-invariant, so each new cover triangle is a new base
     # triangle with its vectors kept or all negated, and validating the new
     # base checks them all
     base = c.base
-    new_base_vec = {e: base.vec[e] + cochain[c.lift_edge(e, 0)]
+    new_base_vec = {e: base.vec[e] + h.cochain_on_edge(per_rep, c.lift_edge(e, 0))
                     for e in base.edges()}
     try:
         new_base = base.with_edge_vectors(new_base_vec)

@@ -8,25 +8,38 @@ Two scalar backends run through the whole library:
 * float mode -- plain ``float`` / ``complex``.  Used for the transcendental
   operations (geodesic flow, arctanh distances, finite differences).
 
-The linear algebra below has one Gauss-Jordan routine, :func:`rref`, with
-deterministic pivoting (first usable row, columns left to right), so repeated
-runs produce identical bases.  :func:`rank`, :func:`nullspace`, :func:`solve`
-and :func:`mat_inverse` read their answers off ``rref`` of the matrix or of
-the matrix augmented with the right-hand sides, and so does the cochain
-solve of ``homology.HomologyData``.
+The linear algebra below has one Gauss-Jordan loop, :func:`_rref_integer`,
+behind :func:`rref`, with deterministic pivoting (first usable row, columns
+left to right), so repeated runs produce identical bases.  :func:`rank`,
+:func:`nullspace`, :func:`solve` and :func:`mat_inverse` read their answers
+off ``rref`` of the matrix or of the matrix augmented with the right-hand
+sides, and so does the cochain solve of ``homology.HomologyData``.  Their
+entries are int, Fraction or QC; a ``float`` or ``complex`` entry raises
+TypeError.  What they return lies in the field of the input: QC throughout
+when some entry is a QC, Fraction otherwise.
 
-``rref`` picks its arithmetic from the entry types.  A matrix of ``int`` and
-``Fraction`` entries is eliminated fraction-free (Bareiss, Math. Comp. 1968):
-each row is scaled by the lcm of its denominators, rows are combined as
-``p*row_i - f*row_r`` in Python ints and divided by the gcd of their
-entries, and each pivot row is divided by its pivot once, at the end.  Every
-integer row stays a nonzero multiple of the row the field elimination holds
-at the same step, so both find the same pivots, and the RREF is unique: the
-result equals the field elimination's, as Fractions.  This matters because
-Fraction arithmetic pays a gcd on every operation.  Any other entry (a
-:class:`QC`) runs the same elimination over the field, :func:`_rref_field`.
-Sizes in this package stay well under 100x100; we deliberately avoid pulling
-in a CAS for this.
+A matrix of ``int`` and ``Fraction`` entries is eliminated fraction-free
+(Bareiss, Math. Comp. 1968): each row is scaled by the lcm of its
+denominators, rows are combined as ``p*row_i - f*row_r`` in Python ints and
+divided by the gcd of their entries, and each pivot row is divided by its
+pivot once, at the end.  Every integer row stays a nonzero multiple of the
+row the field elimination holds at the same step, so both find the same
+pivots, and the RREF is unique: the result equals the field elimination's,
+as Fractions.  This matters because Fraction arithmetic pays a gcd on every
+operation.
+
+A matrix with a :class:`QC` entry runs through the same loop in real block
+form: each entry a+bi becomes the 2x2 block [[a, -b], [b, a]], with the real
+and imaginary columns interleaved.  A row operation over Q(i) acts on the
+block rows as a real row operation, so the block form of the Q(i) RREF is
+row-equivalent to the block matrix; and it is itself in RREF, since each
+pivot 1 becomes a 2x2 identity and the rest of its two columns is zero.
+By uniqueness it is the RREF of the block matrix, so the Q(i) result is
+read back from its blocks: entry (r, j) is a + bi with a at block position
+(2r, 2j) and b at (2r+1, 2j), and the pivots are the even block pivots
+halved.  Sizes in this
+package stay well under 100x100; we deliberately avoid pulling in a CAS for
+this.
 """
 
 from __future__ import annotations
@@ -162,13 +175,43 @@ def rref(matrix):
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` where pivots is the list of pivot column indices.
-    The input is not modified.  Works over any exact field (Fraction, QC);
-    a matrix of ints and Fractions is eliminated in integers and comes back
-    with Fraction entries (see the module docstring).
+    The input is not modified.  Entries are int, Fraction or QC; anything
+    else raises TypeError.  A matrix of ints and Fractions comes back with
+    Fraction entries, a matrix with a QC entry with QC entries throughout
+    (see the module docstring).
     """
-    if all(isinstance(x, (int, Fraction)) for row in matrix for x in row):
+    if not _has_qc(matrix):
         return _rref_integer(matrix)
-    return _rref_field(matrix)
+    # real block form: a+bi -> [[a, -b], [b, a]], re/im columns interleaved
+    block = []
+    for row in matrix:
+        z = [_coerce(x) for x in row]
+        block.append([t for x in z for t in (x.re, -x.im)])
+        block.append([t for x in z for t in (x.im, x.re)])
+    Rb, bpivots = _rref_integer(block)
+    cols = len(matrix[0])
+    R = [[QC(re[2 * j], im[2 * j]) for j in range(cols)]
+         for re, im in zip(Rb[::2], Rb[1::2])]
+    return R, [pc // 2 for pc in bpivots if pc % 2 == 0]
+
+
+def _has_qc(matrix):
+    """Whether some entry is a :class:`QC`; TypeError on an inexact entry."""
+    found = False
+    for row in matrix:
+        for x in row:
+            if isinstance(x, (int, Fraction)):
+                continue
+            if not isinstance(x, QC):
+                raise TypeError(f"{type(x).__name__} entry in an exact matrix")
+            found = True
+    return found
+
+
+def _units(matrix):
+    """(zero, one) of the field of ``matrix``: QC if some entry is a QC,
+    else Fraction."""
+    return (QC_ZERO, QC_ONE) if _has_qc(matrix) else (Fraction(0), Fraction(1))
 
 
 def integer_vector(vec):
@@ -215,45 +258,16 @@ def _rref_integer(matrix):
     return out, pivots
 
 
-def _rref_field(matrix):
-    """:func:`rref` by field arithmetic on the entries as given (QC input)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        if isinstance(inv, int):
-            inv = Fraction(inv)   # int / int would give a float
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
 def rank(matrix):
     if not matrix or not matrix[0]:
         return 0
     return len(rref(matrix)[1])
 
 
-def nullspace(matrix, zero=Fraction(0), one=Fraction(1), ncols=None):
-    """Basis of the right kernel, one vector per free column (ascending)."""
+def nullspace(matrix, ncols=None):
+    """Basis of the right kernel, one vector per free column (ascending),
+    with entries in the field of ``matrix`` (see :func:`_units`)."""
+    zero, one = _units(matrix)
     if not matrix:
         if not ncols:
             return []
@@ -282,10 +296,11 @@ def solve(matrix, rhs):
     solution is deterministic.
     """
     cols = len(matrix[0]) if matrix else 0
-    r, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    r, pivots = rref(aug)
     if pivots and pivots[-1] == cols:
         return None
-    x = [rhs[0] * 0 if rhs else Fraction(0)] * cols
+    x = [_units(aug)[0]] * cols
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols]
     return x
@@ -297,10 +312,7 @@ def mat_inverse(matrix):
     if n == 0:
         return []
     # the identity block lives in the same field as the matrix
-    if isinstance(matrix[0][0], QC):
-        one, zero = QC_ONE, QC_ZERO
-    else:
-        one, zero = Fraction(1), Fraction(0)
+    zero, one = _units(matrix)
     r, pivots = rref([list(row) + [one if i == j else zero for j in range(n)]
                       for i, row in enumerate(matrix)])
     if pivots != list(range(n)):

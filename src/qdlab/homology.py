@@ -8,7 +8,9 @@ absolute homology, and the wedge pairing
     wedge(x, y) = -x^T J^{-1} y
 
 on period vectors, normalized so that sqrt(-1) * wedge(u, conj(u)) = 4*area
-for the period vector u of the abelian differential upstairs.
+for the period vector u of the abelian differential upstairs.  It is summed
+by :func:`sparse_pairing` over the nonzero entries of each row of J^{-1},
+which ``HomologyData`` keeps next to the dense matrix.
 
 H_1 bases come from a tree-cotree decomposition (Eppstein, SODA 2003;
 Erickson-Whittlesey, SODA 2005), built with union-find on integers:
@@ -395,6 +397,7 @@ class HomologyData:
             raise SingularJ("degenerate intersection pairing on H1^-")
         self.J = [[-Ginv[i][j] for j in range(m)] for i in range(m)] if m else []
         self.Jinv = [[-G[i][j] for j in range(m)] for i in range(m)] if m else []
+        self._jinv_rows = sparse_rows(self.Jinv)
 
         self.basis_tag = self._make_tag(cover.base)
 
@@ -618,25 +621,34 @@ def _absolute_coords(h: HomologyData, x):
     return out
 
 
+def sparse_rows(matrix):
+    """A matrix as the list of its nonzero entries (column, value) per row."""
+    return [[(j, c) for j, c in enumerate(row) if not is_zero(c)]
+            for row in matrix]
+
+
+def sparse_pairing(rows, x, y):
+    """-x^T M y for M given by :func:`sparse_rows`, or None when every term
+    vanishes.  The terms (x_i * M_ij) * y_j are summed in (i, j) order over
+    the nonzero x_i and y_j, so float inputs give the same bits on every
+    call site."""
+    total = None
+    for xi, row in zip(x, rows):
+        if is_zero(xi):
+            continue
+        for j, c in row:
+            yj = y[j]
+            if is_zero(yj):
+                continue
+            term = xi * c * yj
+            total = term if total is None else total + term
+    return None if total is None else -total
+
+
 def wedge(h: HomologyData, x, y):
     """Topological wedge pairing: -x^T J^{-1} y on the absolute minus basis."""
-    xa = _absolute_coords(h, x)
-    ya = _absolute_coords(h, y)
-    m = len(h.abs_minus_basis)
-    if m == 0:
-        return F0
-    total = None
-    for i in range(m):
-        if is_zero(xa[i]):
-            continue
-        for j in range(m):
-            if is_zero(h.Jinv[i][j]) or is_zero(ya[j]):
-                continue
-            term = xa[i] * h.Jinv[i][j] * ya[j]
-            total = term if total is None else total + term
-    if total is None:
-        return F0
-    return -total
+    w = sparse_pairing(h._jinv_rows, _absolute_coords(h, x), _absolute_coords(h, y))
+    return F0 if w is None else w
 
 
 def wedge_cup_oracle(h: HomologyData, x, y):

@@ -116,15 +116,8 @@ def save_surface(s: FlatSurface, path):
 # -- period vectors ----------------------------------------------------------
 
 def vector_to_dict(pv):
-    coords = []
-    for z in pv.coords:
-        if pv.mode == "exact":
-            coords.append({"re": str(z.re), "im": str(z.im)})
-        else:
-            c = complex(z)
-            coords.append({"re": repr(c.real), "im": repr(c.imag)})
-    return {"basis_tag": pv.basis_tag, "space": pv.space,
-            "mode": pv.mode, "coords": coords}
+    return {"basis_tag": pv.basis_tag, "space": pv.space, "mode": pv.mode,
+            "coords": [_scalar_to_json(z, pv.mode) for z in pv.coords]}
 
 
 def vector_from_dict(raw):

@@ -25,6 +25,9 @@ random vectors in a standard symplectic QC-space, with the fiber-family
 relations (norm normalization, vanishing of v1^u-bar, isotropy of the fiber
 image) imposed by exact linear projections.  With tanh d0 rational, every
 hyperbolic-function coefficient is rational and the checks are bit-exact.
+A scenario pairs -x^T J^{-1} y by :func:`homology.sparse_pairing`, the sum
+behind ``wedge``, over the nonzero entries of each row of J^{-1} (one per
+row for the standard form).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     SingularPoint,
 )
 from .exact import QC, QC_I, conj, is_zero, nullspace
-from .homology import HomologyData, wedge
+from .homology import HomologyData, sparse_pairing, sparse_rows, wedge
 from .periods import PeriodVector
 
 F0 = Fraction(0)
@@ -417,21 +420,25 @@ def _num(x):
 # PairingScenario: exact random wedge data with the fiber-family constraints
 # ---------------------------------------------------------------------------
 
-def _std_symplectic_inv(n):
-    """Inverse of the standard symplectic matrix on 2n coordinates."""
-    Jinv = [[F0] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        Jinv[k][n + k] = -F1
-        Jinv[n + k][k] = F1
-    return Jinv
+def _std_symplectic_rows(n):
+    """Inverse of the standard symplectic matrix on 2n coordinates, as its
+    nonzero entries per row (see :func:`homology.sparse_rows`)."""
+    return [[(n + k, -F1)] for k in range(n)] + [[(k, F1)] for k in range(n)]
+
+
+def _w(rows, x, y):
+    """-x^T Jinv y for Jinv given by ``rows``, as a QC."""
+    w = sparse_pairing(rows, x, y)
+    return QC(0, 0) if w is None else w
 
 
 class PairingScenario:
     """Random exact wedge data for the fiber-constrained identities.
 
-    Vectors live in QC^{2n} and pair through the standard symplectic form;
-    tanh d0 is rational, so cosh^2, sinh(2 d0) and friends are rational and
-    every identity evaluates exactly.
+    Vectors live in QC^{2n} and pair through the standard symplectic form,
+    or through ``Jinv`` when given (a dense matrix, kept as its nonzero
+    entries per row); tanh d0 is rational, so cosh^2, sinh(2 d0) and friends
+    are rational and every identity evaluates exactly.
     """
 
     def __init__(self, n, vectors, T, Jinv=None):
@@ -440,23 +447,14 @@ class PairingScenario:
         self.T = Fraction(T)        # tanh d0
         if not 0 < self.T < 1:
             raise ValueError("tanh d0 must lie in (0,1)")
-        self._Jinv = _std_symplectic_inv(n) if Jinv is None else Jinv
-        self.dim = len(self._Jinv)
+        self._rows = _std_symplectic_rows(n) if Jinv is None else sparse_rows(Jinv)
+        self.dim = len(self._rows)
 
     # wedge of raw coordinate vectors
     def w(self, x, y):
         x = self.vectors[x] if isinstance(x, str) else x
         y = self.vectors[y] if isinstance(y, str) else y
-        total = QC(0, 0)
-        for i in range(self.dim):
-            if x[i].is_zero():
-                continue
-            for j in range(self.dim):
-                jj = self._Jinv[i][j]
-                if jj == 0 or y[j].is_zero():
-                    continue
-                total = total + x[i] * (jj * y[j])
-        return -total
+        return _w(self._rows, x, y)
 
     def wc(self, x, y):
         y = self.vectors[y] if isinstance(y, str) else y
@@ -478,71 +476,45 @@ class PairingScenario:
         """Random scenario; with ``fiber`` the holomorphic-family relations hold:
         i u^u-bar = 4 tanh d0, v1^u-bar = 0, and isotropy of (u, v1, v2)."""
         dim = 2 * n
+        rows = _std_symplectic_rows(n)
         for _ in range(200):
             u = [_rand_qc(rng) for _ in range(dim)]
-            sc = cls.__new__(cls)
-            sc.n = n
-            sc._Jinv = _std_symplectic_inv(n)
-            sc.dim = 2 * n
-            sc.vectors = {"u": u}
-            wuu = sc.w(u, [c.conjugate() for c in u])
+            wuu = _w(rows, u, [c.conjugate() for c in u])
             if wuu.re != 0 or wuu.im == 0:
                 continue
             t4 = (QC_I * wuu).re
-            if t4 == 0:
-                continue
             if t4 < 0:
                 u = [c.conjugate() for c in u]
-                sc.vectors = {"u": u}
                 t4 = -t4
             # scale u so that T = i w(u, u-bar)/4 lands in (0,1)
             scale = F1
             while scale * scale * t4 >= 4:
                 scale = scale / 2
             u = [QC(scale, 0) * c for c in u]
-            sc.vectors = {"u": u}
-            T = scale * scale * t4 / 4
-            if T == 0:
-                continue
+            sc = cls(n, {"u": u}, scale * scale * t4 / 4)
             if fiber:
-                v1 = sc._sample_constrained(rng, [
-                    ("plain", u),        # w(v1, u) = 0 (isotropy)
-                    ("conj", u),         # w(v1, conj u) = 0 (first-variation vanishing)
-                ])
-                v2 = sc._sample_constrained(rng, [
-                    ("plain", u),        # isotropy with u
-                    ("plain", v1),       # isotropy with v1
-                ])
+                # w(v1, u) = 0 (isotropy), w(v1, conj u) = 0 (first-variation
+                # vanishing), w(v2, u) = w(v2, v1) = 0 (isotropy)
+                v1 = sc._sample_constrained(rng, [u, [c.conjugate() for c in u]])
+                v2 = sc._sample_constrained(rng, [u, v1])
             else:
                 v1 = [_rand_qc(rng) for _ in range(dim)]
                 v2 = [_rand_qc(rng) for _ in range(dim)]
             if all(c.is_zero() for c in v1) or all(c.is_zero() for c in v2):
                 continue
-            sc.vectors = {"u": u, "v1": v1, "v2": v2}
-            sc.T = T
+            sc.vectors.update(v1=v1, v2=v2)
             return sc
         raise RuntimeError("scenario generation failed")
 
-    def _sample_constrained(self, rng, conditions):
-        """Random vector x with w(x, target) = 0 for each condition."""
-        dim = self.dim
-        rows = []
-        for kind, tgt in conditions:
-            t = tgt if kind == "plain" else [c.conjugate() for c in tgt]
-            # w(x, t) = -x^T Jinv t: linear functional of x
-            row = []
-            for i in range(dim):
-                coef = QC(0, 0)
-                for j in range(dim):
-                    jj = self._Jinv[i][j]
-                    if jj:
-                        coef = coef + jj * t[j]
-                row.append(-coef)
-            rows.append(row)
-        basis = nullspace(rows, zero=QC(0, 0), one=QC(1, 0))
+    def _sample_constrained(self, rng, targets):
+        """Random vector x with w(x, t) = 0 for each t in ``targets``."""
+        units = [[QC(1, 0) if i == k else QC(0, 0) for i in range(self.dim)]
+                 for k in range(self.dim)]
+        # w(x, t) is the linear functional x -> sum_i x_i w(e_i, t)
+        basis = nullspace([[self.w(e, t) for e in units] for t in targets])
         if not basis:
             raise RuntimeError("constraint system has no nontrivial solutions")
-        out = [QC(0, 0)] * dim
+        out = [QC(0, 0)] * self.dim
         for b in basis:
             c = _rand_qc(rng)
             out = [o + c * x for o, x in zip(out, b)]

@@ -8,7 +8,7 @@ import pytest
 from qdlab.exact import (
     QC,
     QC_I,
-    _rref_field,
+    _coerce,
     mat_inverse,
     nullspace,
     rank,
@@ -140,8 +140,6 @@ def test_rref_idempotent():
 
 
 def test_qc_real_operand_matches_coerced_form():
-    from qdlab.exact import _coerce
-
     rng = random.Random(11)
     for _ in range(200):
         z = QC(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
@@ -166,7 +164,33 @@ def test_qc_real_operand_matches_coerced_form():
         QC(1, 2) * 1.5
 
 
-# -- rref: the fraction-free path against the field elimination ---------------
+# -- rref against the Gauss-Jordan elimination over the field ----------------
+
+def _rref_field(matrix):
+    """Reference RREF by Gauss-Jordan over the field of the entries, which
+    must be Fractions or QCs: an int pivot would divide into a float."""
+    m = [row[:] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(rows):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
 
 def _field_rref(matrix):
     """The field elimination on the same matrix with Fraction entries, so it
@@ -272,12 +296,144 @@ def test_rref_of_int_matrix_returns_fractions():
 
 def test_rref_with_qc_entries_keeps_the_field_elimination():
     A = [[QC(1, 1), Fraction(2)], [QC(0, 2), 3]]
-    assert rref(A) == _rref_field(A)
+    assert rref(A) == _qc_rref(A)
     assert rref(A)[1] == [0, 1]
-    # an int pivot among QC entries is divided exactly, not into a float
+    # an int pivot among QC entries is divided exactly, not into a float,
+    # and every entry comes back in the field of the matrix, Q(i)
     R, pivots = rref([[2, 1, QC(1, 1)]])
     assert pivots == [0] and R == [[1, Fraction(1, 2), QC(Fraction(1, 2), Fraction(1, 2))]]
-    assert [type(x) for x in R[0]] == [Fraction, Fraction, QC]
+    assert [type(x) for x in R[0]] == [QC, QC, QC]
+    assert [type(x.re) for x in R[0]] == [Fraction, Fraction, Fraction]
     R, pivots = rref([[2, QC(1, 1)], [QC(0, 1), 3]])
     assert pivots == [0, 1] and R == [[1, 0], [0, 1]]
     assert solve([[2, 1]], [QC(1, 0)]) == [QC(Fraction(1, 2), 0), QC(0, 0)]
+
+
+def test_units_follow_the_field_of_every_entry():
+    # a QC entry anywhere, not only at [0][0], puts the result in Q(i)
+    A = [[2, QC(1, 1)], [QC(0, 1), 3]]
+    inv = mat_inverse(A)
+    assert mat_mul(A, inv) == [[1, 0], [0, 1]]
+    assert all(type(x) is QC for row in inv for x in row)
+    basis = nullspace([[1, Fraction(1, 2), QC(0, 1)]])
+    assert basis == [[Fraction(-1, 2), 1, 0], [QC(0, -1), 0, 1]]
+    assert all(type(x) is QC for v in basis for x in v)
+    # without a QC entry every entry is a Fraction, free variables included
+    assert all(type(x) is Fraction for x in solve([[2, 0, 1]], [3]))
+    assert all(type(x) is Fraction
+               for v in nullspace([[1, 2, 3]]) + nullspace([], ncols=2) for x in v)
+    assert all(type(x) is Fraction for row in mat_inverse([[1, 2], [3, 4]]) for x in row)
+
+
+def test_inexact_entries_raise():
+    for bad in ([[1.5, 2]], [[QC(1, 1), 0.5]], [[1, 2j]]):
+        with pytest.raises(TypeError):
+            rref(bad)
+        with pytest.raises(TypeError):
+            nullspace(bad)
+    with pytest.raises(TypeError):
+        mat_inverse([[1, 0], [0, 2.0]])
+    with pytest.raises(TypeError):
+        solve([[1, 0]], [0.5])
+
+
+def _qc_rref(matrix):
+    """The field elimination on the same matrix with QC entries."""
+    return _rref_field([[_coerce(x) for x in row] for row in matrix])
+
+
+def _rand_qc(rng, span=5):
+    return QC(Fraction(rng.randint(-span, span), rng.randint(1, 4)),
+              Fraction(rng.randint(-span, span), rng.randint(1, 4)))
+
+
+def _seeded_qc_matrices():
+    rng = random.Random(13)
+
+    def all_qc(rows, cols):
+        return [[_rand_qc(rng) for _ in range(cols)] for _ in range(rows)]
+
+    def mixed(rows, cols):
+        pick = (lambda: rng.randint(-4, 4), lambda: _rand_matrix(rng, 1, 1)[0][0],
+                lambda: _rand_qc(rng), lambda: QC(rng.randint(-3, 3), 0),
+                lambda: QC(0, rng.randint(-3, 3)))
+        m = [[rng.choice(pick)() for _ in range(cols)] for _ in range(rows)]
+        m[rng.randrange(rows)][rng.randrange(cols)] = _rand_qc(rng)
+        return m
+
+    def low_rank(rows, cols):
+        k = rng.randint(1, min(rows, cols))
+        a, b = all_qc(rows, k), mixed(k, cols)
+        return [[sum((a[i][t] * b[t][j] for t in range(k)), QC(0, 0))
+                 for j in range(cols)] for i in range(rows)]
+
+    def zero_rows(rows, cols):
+        m = mixed(rows, cols)
+        for i in rng.sample(range(rows), rng.randint(1, rows)):
+            m[i] = [QC(0, 0) if j % 2 else 0 for j in range(cols)]
+        if not any(isinstance(x, QC) for row in m for x in row):
+            m[0][0] = QC(0, 0)
+        return m
+
+    def zero_cols(rows, cols):
+        m = all_qc(rows, cols)
+        for j in rng.sample(range(cols), rng.randint(1, cols)):
+            for row in m:
+                row[j] = rng.choice((0, Fraction(0), QC(0, 0)))
+            m[0][j] = QC(0, 0)
+        return m
+
+    kinds = (all_qc, mixed, low_rank, zero_rows, zero_cols)
+    out = [[[QC(0, 0)]], [[QC(0, 1)]], [[QC(0, 0), 0, 0]], [[2, QC(1, 1)]],
+           [[QC(0, 0)], [QC(0, 0)]], [[QC(1, 1)], [QC(2, 2)]]]
+    for i in range(50):
+        kind = kinds[i % len(kinds)]
+        out.append(kind(rng.randint(4, 7), rng.randint(1, 3)))     # tall
+        out.append(kind(rng.randint(1, 3), rng.randint(4, 7)))     # wide
+        out.append(kind(1, rng.randint(1, 6)))                     # 1 x n
+        n = rng.randint(1, 5)
+        out.append(kind(n, n))                                     # square
+        out.append(kind(rng.randint(1, 6), rng.randint(1, 6)))
+    return out
+
+
+def _scenario_matrices(monkeypatch):
+    """The constraint matrices PairingScenario.random hands to nullspace."""
+    import qdlab.levi as L
+
+    seen = []
+    real = L.nullspace
+
+    def record(matrix):
+        seen.append([list(row) for row in matrix])
+        return real(matrix)
+
+    monkeypatch.setattr(L, "nullspace", record)
+    rng = random.Random(23)
+    for _ in range(100):
+        L.PairingScenario.random(rng, n=3, fiber=True)
+    for n in (2, 4):
+        L.PairingScenario.random(rng, n=n, fiber=True)
+    monkeypatch.undo()
+    return seen
+
+
+def test_rref_with_qc_matches_field_elimination(monkeypatch):
+    def check(matrix):
+        before = [list(row) for row in matrix]
+        R, pivots = rref(matrix)
+        assert matrix == before
+        assert (R, pivots) == _qc_rref(matrix)
+        assert all(type(x) is QC for row in R for x in row)
+
+    mats = _seeded_qc_matrices()
+    assert len(mats) >= 250
+    deficient = set()
+    for matrix in mats:
+        check(matrix)
+        deficient.add(len(rref(matrix)[1]) < min(len(matrix), len(matrix[0])))
+    assert deficient == {False, True}
+    scen = _scenario_matrices(monkeypatch)
+    assert len(scen) >= 2 * 100
+    for matrix in scen:
+        check(matrix)
