@@ -78,11 +78,14 @@ class DoubleCover:
         cover_tris = [tuple(self.lift_edge(e, sheet) for e in tri)
                       for tri in base.triangles for sheet in (0, 1)]
 
+        # sheet 1 carries the negated vectors; in exact mode they are the
+        # base numerators over the base denominator
+        exact = base.mode == "exact"
         vec = {}
         for e in base_edges:
-            for sheet in (0, 1):
-                v = base.vec[e] if sheet == 0 else -base.vec[e]
-                vec[self.lift_edge(e, sheet)] = v
+            v = base._num[e] if exact else base.vec[e]
+            vec[self.lift_edge(e, 0)] = v
+            vec[self.lift_edge(e, 1)] = (-v[0], -v[1]) if exact else -v
 
         glue = {}
         for e in base_edges:
@@ -111,9 +114,8 @@ class DoubleCover:
 
         # each lifted triangle is a base triangle with its three vectors
         # kept or all negated, so it is as valid as the base one
-        self.cover_surface = FlatSurface._derived(cover_tris, vec, glue,
-                                                  marked_up, base.mode, (),
-                                                  lifted_orders)
+        self.cover_surface = FlatSurface._derived(base, cover_tris, vec, glue,
+                                                  marked_up, (), lifted_orders)
         self.classification = classify_points(base)
         self._check()
 
@@ -151,10 +153,11 @@ class DoubleCover:
         c = self.cover_surface
         if any(sg != 1 for sg in c.sign.values()):
             raise GluingMismatch("cover gluing is not a translation")
-        for f in c.edges():
-            g = self.involution_edge(f)
-            if c.vec[g] != -c.vec[f] and self.base.mode == "exact":
-                raise SurfaceError("involution does not negate edge vectors")
+        if c.mode == "exact":
+            for f in c.edges():
+                x, y = c._num[f]
+                if c._num[self.involution_edge(f)] != (-x, -y):
+                    raise SurfaceError("involution does not negate edge vectors")
         for p in self.classification.sigma_ub:
             if len(self.vertex_fiber(p)) != 2:
                 raise SurfaceError(f"unbranched point {p} has wrong fiber")

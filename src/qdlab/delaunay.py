@@ -18,6 +18,19 @@ lands at Q = sigma*C.  Every predicate reads the four sides:
   Cocircular configurations count as Delaunay (non-strict predicate), which
   makes the flip loop terminate deterministically.
 
+In exact mode both predicates run on the surface's Gaussian-integer
+numerators (see ``surface``): the orientations are degree 2 and the incircle
+value degree 4 in the vectors, so their signs are those of the numerator
+forms, and ``incircle_certificate`` returns the exact value, the numerator
+form over den**4.  Float mode evaluates both in floats, except the Delaunay
+test of ``is_delaunay`` and ``delaunayize``: it takes the incircle signs
+exactly on the binary64 vectors (each a dyadic rational, brought to one
+power-of-two denominator), and a pair fails it only when its quad reads
+positive and the flipped quad, whose three sides B, sigma*D and A the flip
+copies unrounded, reads negative.  In exact arithmetic the two values are
+negatives of each other; rounded vectors need not close, and asking for both
+keeps a quad whose exact twin is cocircular from flipping back and forth.
+
 Edges whose two sides lie on the same triangle are unflippable and are
 skipped; they can never violate the (strict) condition anyway in the
 configurations we accept.
@@ -26,9 +39,10 @@ configurations we accept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DegenerateTriangle, NonTerminating
-from .surface import FlatSurface, cross, dot
+from .surface import FlatSurface, cross, dot, icross, idot
 
 
 @dataclass(frozen=True)
@@ -40,12 +54,36 @@ class FlipRecord:
     violations_after: int
 
 
+def _incircle(A, C, D, sgn):
+    """Incircle value of a = -C, b = D, c = D + sgn*A on Gaussian integers
+    given as (re, im) int pairs."""
+    a = (-C[0], -C[1])
+    c = (D[0] + sgn * A[0], D[1] + sgn * A[1])
+    return (idot(a, a) * icross(D, c) + idot(D, D) * icross(c, a)
+            + idot(c, c) * icross(a, D))
+
+
+def _dyadic(zs):
+    """Complex binary64 values as Gaussian integers over one power of two:
+    every finite double is a dyadic rational, so this is exact."""
+    parts = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
+    big = max(q for _, q in parts)
+    ints = [p * (big // q) for p, q in parts]
+    return list(zip(ints[::2], ints[1::2]))
+
+
 def incircle_certificate(s: FlatSurface, e):
-    """Incircle value of the quad at edge e (positive = violates Delaunay)."""
+    """Incircle value of the quad at edge e (positive = violates Delaunay).
+
+    Exact mode evaluates the degree-4 form on the numerators and returns it
+    over den**4 as a Fraction; float mode evaluates it in floats."""
     f = s.glue[e]
     sgn = s.sign[e]
-    A = s.vec[s.next_edge(e)]
-    C, D = s.vec[s.next_edge(f)], s.vec[s.prev_edge(f)]
+    a1, b1, b2 = s.next_edge(e), s.next_edge(f), s.prev_edge(f)
+    if s.mode == "exact":
+        num = s._num
+        return Fraction(_incircle(num[a1], num[b1], num[b2], sgn), s._den ** 4)
+    A, C, D = s.vec[a1], s.vec[b1], s.vec[b2]
     a, b, c = -C, D, D + sgn * A
     return (dot(a, a) * cross(b, c) + dot(b, b) * cross(c, a)
             + dot(c, c) * cross(a, b))
@@ -57,15 +95,33 @@ def flippable(s: FlatSurface, e):
     if s.triangle_of(e) == s.triangle_of(f):
         return False
     sgn = s.sign[e]
-    return (sgn * cross(s.vec[s.prev_edge(f)], s.vec[s.next_edge(e)]) > 0
-            and sgn * cross(s.vec[s.prev_edge(e)], s.vec[s.next_edge(f)]) > 0)
+    if s.mode == "exact":
+        v, orient = s._num, icross
+    else:
+        v, orient = s.vec, cross
+    return (sgn * orient(v[s.prev_edge(f)], v[s.next_edge(e)]) > 0
+            and sgn * orient(v[s.prev_edge(e)], v[s.next_edge(f)]) > 0)
 
 
 def _violates(s: FlatSurface, r):
     """True if the edge pair with representative r = min(e, glue(e)) fails
-    the non-strict incircle test; a pair on one triangle never does."""
-    return (s.triangle_of(r) != s.triangle_of(s.glue[r])
-            and incircle_certificate(s, r) > 0)
+    the non-strict incircle test; a pair on one triangle never does.
+
+    In float mode the signs are exact on the binary64 vectors, and the pair
+    fails only if the flipped quad, whose sides are the floats B, sigma*D
+    and A the flip keeps, passes strictly."""
+    f = s.glue[r]
+    if s.triangle_of(r) == s.triangle_of(f):
+        return False
+    sgn = s.sign[r]
+    a1, b1, b2 = s.next_edge(r), s.next_edge(f), s.prev_edge(f)
+    if s.mode == "exact":
+        num = s._num
+        return _incircle(num[a1], num[b1], num[b2], sgn) > 0
+    vec = s.vec
+    A, C, D, B = _dyadic([vec[a1], vec[b1], vec[b2], vec[s.prev_edge(r)]])
+    return (_incircle(A, C, D, sgn) > 0
+            and _incircle(B, (sgn * D[0], sgn * D[1]), A, 1) < 0)
 
 
 def is_delaunay(s: FlatSurface):
@@ -90,14 +146,26 @@ def flip_edge(s: FlatSurface, e) -> FlatSurface:
     sgn = s.sign[e]
     a1, a2 = s.next_edge(e), s.prev_edge(e)      # A = vec(a1), B = vec(a2)
     b1, b2 = s.next_edge(f), s.prev_edge(f)      # C = vec(b1), D = vec(b2)
-    C, D = s.vec[b1], s.vec[b2]
 
-    # new diagonal from Q to P2 (e's triangle charted at P0 = 0, P1 = vec e),
-    # with Q developed through vec(f) so that a float closure error of f's
-    # triangle reaches the new ones; reuse ids e (in the triangle that keeps
-    # a1) and f.
-    E = s.vec[e]
-    G = (E + s.vec[a1]) - (E + sgn * (s.vec[f] + C))
+    # new diagonal G from Q to P2 (e's triangle charted at P0 = 0,
+    # P1 = vec e); reuse ids e (in the triangle that keeps a1) and f.  The
+    # exact numerators stay over the parent's denominator.
+    if s.mode == "exact":
+        geom = dict(s._num)
+        (ax, ay), (fx, fy) = geom[a1], geom[f]
+        (cx, cy), (dx, dy) = geom[b1], geom[b2]
+        gx, gy = ax - sgn * (fx + cx), ay - sgn * (fy + cy)
+        geom[b2], geom[b1] = (sgn * dx, sgn * dy), (sgn * cx, sgn * cy)
+        geom[e], geom[f] = (gx, gy), (-gx, -gy)
+    else:
+        # Q is developed through vec(f), so that a float closure error of
+        # f's triangle reaches the new ones
+        geom = dict(s.vec)
+        C, D, E = geom[b1], geom[b2], geom[e]
+        G = (E + geom[a1]) - (E + sgn * (geom[f] + C))
+        geom[b2], geom[b1] = sgn * D, sgn * C
+        geom[e], geom[f] = G, -G
+
     new_tris = []
     for ti, tri in enumerate(s.triangles):
         if ti == s.triangle_of(e):
@@ -106,11 +174,6 @@ def flip_edge(s: FlatSurface, e) -> FlatSurface:
             new_tris.append((a2, b1, e))        # B, sgn*C, G
         else:
             new_tris.append(tri)
-    new_vec = dict(s.vec)
-    new_vec[b2] = sgn * D
-    new_vec[b1] = sgn * C
-    new_vec[e] = G
-    new_vec[f] = -G
 
     # marked vertices are named by corner orbits, which the flip reshuffles;
     # pass each one on as an incident edge that keeps its tail
@@ -131,15 +194,16 @@ def flip_edge(s: FlatSurface, e) -> FlatSurface:
                 for v, corners in vertices.items()}
 
     changed = sorted((s.triangle_of(e), s.triangle_of(f)))
-    return FlatSurface._derived(new_tris, new_vec, s.glue, anchors, s.mode,
-                                changed, carried_orders)
+    return FlatSurface._derived(s, new_tris, geom, s.glue, anchors, changed,
+                                carried_orders)
 
 
 def delaunayize(s: FlatSurface, max_rounds=None):
     """Flip until every edge satisfies the non-strict incircle condition.
 
     Returns (surface, [FlipRecord...]).  The iteration cap is a guard for
-    float mode; with exact predicates the loop provably terminates.
+    float mode; with exact predicates the loop provably terminates.  In
+    float mode the records keep the float incircle values.
     """
     if max_rounds is None:
         max_rounds = 400 * max(1, s.num_geometric_edges())
@@ -157,13 +221,11 @@ def delaunayize(s: FlatSurface, max_rounds=None):
                 raise NonTerminating(
                     f"flip loop exceeded {max_rounds} flips (mode={s.mode})"
                 )
+            # a Delaunay violation is always a strictly convex quad; the
+            # flippable guard only matters for float noise
+            if not (_violates(cur, e) and flippable(cur, e)):
+                continue
             cert = incircle_certificate(cur, e)
-            if cert <= 0:
-                continue
-            if not flippable(cur, e):
-                # a Delaunay violation on a flippable-geometry quad is always
-                # strictly convex; this guard only matters for float noise
-                continue
             # the flip changes the quads of the pairs with an edge on the two
             # flipped triangles (the same six edge ids before and after) and
             # of no other pair, so only those need a new incircle test

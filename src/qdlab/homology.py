@@ -73,10 +73,12 @@ coefficients are the Fractions ``rref`` returns.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from math import lcm
+
+# the builtin module, not hashlib: hashlib maps OpenSSL into the process
+from _sha1 import sha1
 
 from .cover import DoubleCover
 from .errors import (
@@ -477,7 +479,7 @@ class HomologyData:
             "mode": base.mode,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
-        return "hom1-" + hashlib.sha1(blob).hexdigest()[:16]
+        return "hom1-" + sha1(blob).hexdigest()[:16]
 
     # -- ranks ------------------------------------------------------------------
     def rank_abs(self):

@@ -449,6 +449,7 @@ class PairingScenario:
             raise ValueError("tanh d0 must lie in (0,1)")
         self._rows = _std_symplectic_rows(n) if Jinv is None else sparse_rows(Jinv)
         self.dim = len(self._rows)
+        self._wc_memo = {}
 
     # wedge of raw coordinate vectors
     def w(self, x, y):
@@ -457,8 +458,18 @@ class PairingScenario:
         return _w(self._rows, x, y)
 
     def wc(self, x, y):
-        y = self.vectors[y] if isinstance(y, str) else y
-        return self.w(x, [c.conjugate() for c in y])
+        """w(x, conj y).  Between them the identity routes read only
+        wc(v1, v1), wc(v2, v2) and wc(u, v2), so a pairing of two named
+        vectors is kept until either name is bound to another vector."""
+        if not (isinstance(x, str) and isinstance(y, str)):
+            y = self.vectors[y] if isinstance(y, str) else y
+            return self.w(x, [c.conjugate() for c in y])
+        vx, vy = self.vectors[x], self.vectors[y]
+        hit = self._wc_memo.get((x, y))
+        if hit is None or hit[0] is not vx or hit[1] is not vy:
+            hit = (vx, vy, self.w(vx, [c.conjugate() for c in vy]))
+            self._wc_memo[(x, y)] = hit
+        return hit[2]
 
     # rational hyperbolic data
     def cosh2(self):

@@ -14,6 +14,17 @@ Z/2 cocycle whose triviality decides whether the differential is a global
 square.  Since no edge vector is zero, the vectors fix sigma, so a surface
 derives its signs instead of taking them as input.
 
+An exact surface stores its vectors as Gaussian-integer numerators over one
+positive denominator: ``_num[e]`` is an (re, im) pair of ints and
+vec(e) = (re + i*im)/``_den``.  The constructor converts its QC input once,
+with ``_den`` the lcm of the input's denominators, and ``vec`` is the QC
+table built from the numerators on first read.  Every exact predicate is
+homogeneous in the vectors, so it runs on the numerators alone: a degree-k
+form is den**k > 0 times its value, with the same sign.  The zero-edge,
+closure and orientation checks, the signs, the vertex orders, and the
+Delaunay predicates in ``delaunay`` all do; areas come out as
+Fraction(cross, 2*den**2).  Float surfaces keep complex vectors.
+
 Vertices are not part of the input: they are the orbits of the corner walk
 ``e -> glue(prev(e))`` and are named by the smallest directed-edge id whose
 tail sits at the vertex.  Cone angles are integer multiples of pi; the
@@ -37,6 +48,10 @@ only what their change cannot break (``FlatSurface._derived``):
   base triangle with its vectors kept or all negated, and gives a cover
   vertex over ``b`` the order ``2(o_b + 2)/|fiber(b)| - 2``.
 
+In exact mode both build their numerators from the parent's (a flip's new
+diagonal is a sum of sides) and keep the parent's denominator, so a derived
+surface never passes through QC.
+
 Both rebuild the incidence, vertex orbits and components, derive the signs,
 and run the integer checks (orders >= -1, no unmarked pole, 2g-2+m > 0).  In
 float mode a derived surface's orders are the parent's, not re-measured
@@ -47,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     ClosureViolation,
@@ -57,22 +73,39 @@ from .errors import (
     SurfaceError,
     UnmarkedPole,
 )
-from .exact import QC, is_zero
+from .exact import QC, _coerce, is_zero
 
 FLOAT_ANGLE_TOL = 1e-9  # |angle defect| / pi tolerated in float mode
 
 
 def cross(u, v):
-    """Imaginary part of conj(u)*v; twice the signed area of (0,u,v)... /1."""
-    if isinstance(u, QC):
-        return u.re * v.im - u.im * v.re
+    """Imaginary part of conj(u)*v: twice the signed area of (0, u, v)."""
     return (u.conjugate() * v).imag
 
 
 def dot(u, v):
-    if isinstance(u, QC):
-        return u.re * v.re + u.im * v.im
     return (u.conjugate() * v).real
+
+
+def icross(u, v):
+    """:func:`cross` of two Gaussian integers given as (re, im) int pairs."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def idot(u, v):
+    """:func:`dot` of two Gaussian integers given as (re, im) int pairs."""
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _numerators(vec):
+    """Exact edge vectors as (numerators, denominator): ``num[e]`` is the
+    Gaussian integer (re, im) with vec[e] = (re + i*im)/den, and den is the
+    lcm of the denominators of every real and imaginary part."""
+    vec = {e: v if type(v) is QC else _coerce(v) for e, v in vec.items()}
+    den = lcm(*(x.denominator for v in vec.values() for x in (v.re, v.im)))
+    return {e: (v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator))
+            for e, v in vec.items()}, den
 
 
 class FlatSurface:
@@ -88,11 +121,13 @@ class FlatSurface:
 
     __slots__ = (
         "triangles",
-        "vec",
         "glue",
         "sign",
         "marked",
         "mode",
+        "_vec",
+        "_num",
+        "_den",
         "_tri_of",
         "_next",
         "_prev",
@@ -105,35 +140,57 @@ class FlatSurface:
 
     def __init__(self, triangles, vec, glue, marked, mode):
         """``marked`` holds, per marked vertex, any directed edge whose tail
-        sits on it; the gluing signs are derived from the vectors."""
-        self._build(triangles, vec, glue, mode)
+        sits on it; the gluing signs are derived from the vectors.  In exact
+        mode the vectors are QC, Fraction or int."""
+        if mode == "exact":
+            num, den = _numerators(vec)
+            self._build(triangles, None, num, den, glue, mode)
+        else:
+            self._build(triangles, dict(vec), None, None, glue, mode)
         self._validate(marked, range(len(self.triangles)))
 
     @classmethod
-    def _derived(cls, triangles, vec, glue, marked, mode, changed, orders):
-        """Surface derived from validated geometry by a change its caller
-        vouches for outside the triangles ``changed``.
+    def _derived(cls, parent, triangles, geometry, glue, marked, changed,
+                 orders):
+        """Surface derived from the validated ``parent`` by a change its
+        caller vouches for outside the triangles ``changed``.
 
-        Only the triangles ``changed`` get the nonzero, closure and
-        orientation checks.  ``orders`` takes the new vertex table (id ->
-        corner tuple) and returns {id: order} in the same key order, in
-        place of the corner star development.  Everything else is built and
-        checked as by ``__init__``, and nothing is taken from the parent:
-        components are recomputed and the homology memo starts empty.
+        ``geometry`` holds the new edge vectors: in exact mode as Gaussian
+        integer numerators over the parent's denominator, in float mode as
+        complex numbers.  Only the triangles ``changed`` get the nonzero,
+        closure and orientation checks.  ``orders`` takes the new vertex
+        table (id -> corner tuple) and returns {id: order} in the same key
+        order, in place of the corner star development.  Everything else is
+        built and checked as by ``__init__``, and nothing else is taken from
+        the parent: components are recomputed and the homology memo starts
+        empty.
         """
         s = cls.__new__(cls)
-        s._build(triangles, vec, glue, mode)
+        if parent.mode == "exact":
+            s._build(triangles, None, geometry, parent._den, glue, "exact")
+        else:
+            s._build(triangles, geometry, None, None, glue, parent.mode)
         s._orders = orders(s._vertices)
         s._validate(marked, changed)
         return s
 
-    def _build(self, triangles, vec, glue, mode):
+    def _build(self, triangles, vec, num, den, glue, mode):
         self.triangles = tuple(tuple(t) for t in triangles)
-        self.vec = dict(vec)
+        self._vec, self._num, self._den = vec, num, den
         self.glue = dict(glue)
         self.mode = mode
         self._build_incidence()
         self._build_vertices()
+
+    @property
+    def vec(self):
+        """Edge id -> holonomy vector: QC in exact mode, built from the
+        numerators on first read, and complex in float mode."""
+        if self._vec is None:
+            d = self._den
+            self._vec = {e: QC(Fraction(x, d), Fraction(y, d))
+                         for e, (x, y) in self._num.items()}
+        return self._vec
 
     # -- combinatorial incidence -----------------------------------------
     def _build_incidence(self):
@@ -180,7 +237,8 @@ class FlatSurface:
         """Check the tables, the given triangles, the signs, the marked ids,
         and the orders and topology of every vertex and component."""
         edges = set(self._tri_of)
-        if set(self.vec) != edges:
+        exact = self.mode == "exact"
+        if set(self._num if exact else self._vec) != edges:
             raise GluingMismatch("edge-vector table does not match triangle edges")
         if set(self.glue) != edges:
             raise GluingMismatch("gluing table does not match triangle edges")
@@ -189,31 +247,20 @@ class FlatSurface:
                 raise GluingMismatch(f"edge {e} glued to itself")
             if self.glue.get(f) != e:
                 raise GluingMismatch(f"gluing not involutive at ({e}, {f})")
-        for ti in triangles:
-            a, b, c = self.triangles[ti]
-            va, vb, vcv = self.vec[a], self.vec[b], self.vec[c]
-            for e, v in ((a, va), (b, vb), (c, vcv)):
-                if is_zero(v):
-                    raise DegenerateTriangle(f"zero edge vector on edge {e}")
-            s = va + vb + vcv
-            if self.mode == "exact":
-                if not is_zero(s):
-                    raise ClosureViolation(f"triangle {ti} does not close: sum {s!r}")
-            else:
-                scale = max(abs(complex(va)), abs(complex(vb)), abs(complex(vcv)))
-                if abs(complex(s)) > 1e-9 * scale:
-                    raise ClosureViolation(f"triangle {ti} does not close")
-            if cross(va, vb) <= 0:
-                raise DegenerateTriangle(f"triangle {ti} not positively oriented")
+        if exact:
+            self._check_triangles_exact(triangles)
+        else:
+            self._check_triangles_float(triangles)
         # the gluing relation vec(e') = -sigma*vec(e) fixes sigma
         self.sign = {}
         for e, f in self.glue.items():
             if e in self.sign:
                 continue
-            ve, vf = self.vec[e], self.vec[f]
-            if self.mode == "exact":
-                sg = 1 if vf == -ve else -1 if vf == ve else 0
+            if exact:
+                ne, nf = self._num[e], self._num[f]
+                sg = 1 if nf == (-ne[0], -ne[1]) else -1 if nf == ne else 0
             else:
+                ve, vf = self._vec[e], self._vec[f]
                 # the tighter of the two sides' tolerances 1e-9*max(1, |v|)
                 tol = 1e-9 * max(1.0, min(abs(complex(ve)), abs(complex(vf))))
                 sg = (1 if abs(complex(vf + ve)) <= tol
@@ -237,6 +284,36 @@ class FlatSurface:
                 raise SurfaceError(
                     f"component violates 2g-2+m>0 (g={g}, m={m})"
                 )
+
+    def _check_triangles_exact(self, triangles):
+        """Nonzero edges, closure and positive orientation, on numerators."""
+        num = self._num
+        for ti in triangles:
+            a, b, c = self.triangles[ti]
+            va, vb, vc = num[a], num[b], num[c]
+            for e, v in ((a, va), (b, vb), (c, vc)):
+                if v == (0, 0):
+                    raise DegenerateTriangle(f"zero edge vector on edge {e}")
+            sx, sy = va[0] + vb[0] + vc[0], va[1] + vb[1] + vc[1]
+            if sx or sy:
+                s = QC(Fraction(sx, self._den), Fraction(sy, self._den))
+                raise ClosureViolation(f"triangle {ti} does not close: sum {s!r}")
+            if icross(va, vb) <= 0:
+                raise DegenerateTriangle(f"triangle {ti} not positively oriented")
+
+    def _check_triangles_float(self, triangles):
+        vec = self._vec
+        for ti in triangles:
+            a, b, c = self.triangles[ti]
+            va, vb, vc = vec[a], vec[b], vec[c]
+            for e, v in ((a, va), (b, vb), (c, vc)):
+                if is_zero(v):
+                    raise DegenerateTriangle(f"zero edge vector on edge {e}")
+            scale = max(abs(complex(va)), abs(complex(vb)), abs(complex(vc)))
+            if abs(complex(va + vb + vc)) > 1e-9 * scale:
+                raise ClosureViolation(f"triangle {ti} does not close")
+            if cross(va, vb) <= 0:
+                raise DegenerateTriangle(f"triangle {ti} not positively oriented")
 
     # -- basic queries ------------------------------------------------------
     def edges(self):
@@ -315,8 +392,9 @@ class FlatSurface:
     # -- metric quantities ----------------------------------------------------
     def triangle_area(self, ti):
         a, b, _ = self.triangles[ti]
-        ar2 = cross(self.vec[a], self.vec[b])
-        return ar2 / 2
+        if self.mode == "exact":
+            return Fraction(icross(self._num[a], self._num[b]), 2 * self._den ** 2)
+        return cross(self._vec[a], self._vec[b]) / 2
 
     def orders(self):
         """Map vertex id -> integer order o_p (cone angle (o_p+2)*pi)."""
@@ -339,17 +417,20 @@ class FlatSurface:
         # and the gluing sign across prev(e) carries the chart on.  Count the
         # real-axis events of the developed direction relative to u0 (each
         # corner turns by less than pi, so events = multiples of pi swept).
-        u0 = self.vec[corner_edges[0]]
+        # Everything runs on the numerators: the denominator scales every
+        # cross product by den**2 > 0 and keeps its sign.
+        num = self._num
+        u0 = num[corner_edges[0]]
         chart = 1
         side = 0
         events = 0
         for e in corner_edges:
             p = self._prev[e]
-            w = -self.vec[p]
-            if cross(self.vec[e], w) <= 0:
+            w = (-num[p][0], -num[p][1])
+            if icross(num[e], w) <= 0:
                 raise DegenerateTriangle("corner with nonpositive turn")
             prev_side = side
-            side = chart * cross(u0, w)
+            side = chart * icross(u0, w)
             if (prev_side > 0 and side <= 0) or (prev_side < 0 and side >= 0):
                 events += 1
             chart *= self.sign[p]
@@ -397,7 +478,10 @@ class FlatSurface:
     def to_float(self):
         if self.mode == "float":
             return self
-        return self.with_edge_vectors({e: complex(v) for e, v in self.vec.items()},
+        # x/d is the correctly rounded quotient, as float(Fraction(x, d)) is
+        d = self._den
+        return self.with_edge_vectors({e: complex(x / d, y / d)
+                                       for e, (x, y) in self._num.items()},
                                       mode="float")
 
 
@@ -471,6 +555,10 @@ def make_surface(triangles, vectors, gluings, marked=(), mode="exact"):
 
 def area(s: FlatSurface):
     """Total flat area = L1 norm of the represented differential."""
+    if s.mode == "exact":
+        num = s._num
+        return Fraction(sum(icross(num[a], num[b]) for a, b, _ in s.triangles),
+                        2 * s._den ** 2)
     total = None
     for ti in range(len(s.triangles)):
         a = s.triangle_area(ti)

@@ -1,5 +1,6 @@
 """Delaunay predicate and the flip algorithm."""
 
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,7 +21,10 @@ from qdlab.delaunay import (
     incircle_certificate,
     is_delaunay,
 )
+from qdlab.cover import build_cover
 from qdlab.errors import ClosureViolation, DegenerateTriangle
+from qdlab.exact import QC
+from qdlab.io_json import dump_json, surface_from_dict, surface_to_dict
 from qdlab.surface import area, make_surface, symbol
 
 
@@ -218,3 +222,137 @@ def test_random_flip_variant_matches_full_rescan(name):
             assert got.vec == want.vec
             assert got.glue == want.glue and got.marked == want.marked
             assert rng_a.getstate() == rng_b.getstate()
+
+
+def test_float_delaunayize_ends_on_a_cocircular_exact_twin():
+    # the float copy reads +6.9e-18 on a quad whose exact twin is cocircular;
+    # its exact sign on the binary64 vectors does not call for a flip
+    rng = random.Random("xmarked_torus/2")
+    v = random_flip_variant(random_deform_variant(bundled_surface("marked_torus"), rng),
+                            rng, rng.randint(0, 6))
+    assert 0 in {incircle_certificate(v, e) for e in v.edges()}
+    y = v.to_float().scaled(Fraction(1, 3))
+    assert max(incircle_certificate(y, e) for e in y.edges()) > 0
+    d, recs = delaunayize(y)
+    assert is_delaunay(d)[0] and recs == []
+
+
+def test_float_delaunayize_ends_on_seeded_variants():
+    for name in bundled_names():
+        base = bundled_surface(name)
+        for k in range(25):
+            rng = random.Random(f"x{name}/{k}")
+            v = random_flip_variant(random_deform_variant(base, rng), rng,
+                                    rng.randint(0, 6))
+            for y in (v.to_float().scaled(Fraction(1, 3)), v.scaled(0.3 + 1.7j)):
+                d, _ = delaunayize(y)
+                assert is_delaunay(d)[0], (name, k)
+
+
+# ---------------------------------------------------------------------------
+# the integer predicates against the QC formulas they replaced
+# ---------------------------------------------------------------------------
+
+def _qc_cross(u, v):
+    return u.re * v.im - u.im * v.re
+
+
+def _qc_dot(u, v):
+    return u.re * v.re + u.im * v.im
+
+
+def _oracle_oriented(s, ti):
+    a, b, _ = s.triangles[ti]
+    return _qc_cross(s.vec[a], s.vec[b]) > 0
+
+
+def _oracle_flippable(s, e):
+    f = s.glue[e]
+    if s.triangle_of(e) == s.triangle_of(f):
+        return False
+    sgn = s.sign[e]
+    return (sgn * _qc_cross(s.vec[s.prev_edge(f)], s.vec[s.next_edge(e)]) > 0
+            and sgn * _qc_cross(s.vec[s.prev_edge(e)], s.vec[s.next_edge(f)]) > 0)
+
+
+def _oracle_incircle(s, e):
+    f = s.glue[e]
+    sgn = s.sign[e]
+    A = s.vec[s.next_edge(e)]
+    C, D = s.vec[s.next_edge(f)], s.vec[s.prev_edge(f)]
+    a, b, c = -C, D, D + sgn * A
+    return (_qc_dot(a, a) * _qc_cross(b, c) + _qc_dot(b, b) * _qc_cross(c, a)
+            + _qc_dot(c, c) * _qc_cross(a, b))
+
+
+def _oracle_flip_vectors(s, e):
+    f = s.glue[e]
+    sgn = s.sign[e]
+    a1, b1, b2 = s.next_edge(e), s.next_edge(f), s.prev_edge(f)
+    vec = dict(s.vec)
+    G = vec[a1] - sgn * (vec[f] + vec[b1])
+    vec[b2], vec[b1] = sgn * vec[b2], sgn * vec[b1]
+    vec[e], vec[f] = G, -G
+    return vec
+
+
+def _oracle_edges_json(vec):
+    return {str(e): {"re": str(v.re), "im": str(v.im)} for e, v in sorted(vec.items())}
+
+
+def _exact_inputs():
+    """Seeded flip and deform variants of the bundled surfaces and a skewed
+    torus, as built and scaled by 1/3 and 2/7."""
+    for name in bundled_names():
+        base = bundled_surface(name)
+        for k in range(3):
+            rng = random.Random(f"oracle/{name}/{k}")
+            yield f"{name}/flip{k}", random_flip_variant(base, rng, rng.randint(1, 6))
+            v = random_deform_variant(base, rng)
+            yield f"{name}/deform{k}", random_flip_variant(v, rng, rng.randint(0, 6))
+    yield "skew1/10", skewed_torus(Fraction(1, 10))
+
+
+def _scaled_inputs():
+    for label, s in _exact_inputs():
+        yield label, s
+        for r in (Fraction(1, 3), Fraction(2, 7)):
+            yield f"{label}*{r}", s.scaled(r)
+
+
+def test_integer_predicates_match_the_qc_formulas():
+    dens = set()
+    flips = 0
+    for label, s in _scaled_inputs():
+        dens.add(s._den)
+        assert all(type(v) is QC for v in s.vec.values()), label
+        assert all(_oracle_oriented(s, ti) for ti in range(len(s.triangles))), label
+        assert area(s) == sum(_qc_cross(s.vec[a], s.vec[b])
+                              for a, b, _ in s.triangles) / 2, label
+        for e in s.edges():
+            assert flippable(s, e) == _oracle_flippable(s, e), (label, e)
+            cert = incircle_certificate(s, e)
+            assert type(cert) is Fraction and cert == _oracle_incircle(s, e), (label, e)
+            if not flippable(s, e):
+                continue
+            t = flip_edge(s, e)
+            want = _oracle_flip_vectors(s, e)
+            assert list(t.vec.items()) == list(want.items()), (label, e)
+            assert surface_to_dict(t)["edges"] == _oracle_edges_json(want), (label, e)
+            assert all(_oracle_oriented(t, ti) for ti in range(len(t.triangles)))
+            flips += 1
+    assert flips > 200 and {1, 3, 7, 16} <= dens and max(dens) > 16
+
+
+def test_vec_and_json_keep_the_values_given():
+    for label, s in _scaled_inputs():
+        given = {e: QC(Fraction(3, 5), Fraction(-7, 4)) * v for e, v in s.vec.items()}
+        t = s.with_edge_vectors(given)
+        assert list(t.vec.items()) == list(given.items()), label
+        assert surface_to_dict(t)["edges"] == _oracle_edges_json(given), label
+        assert t.to_float().vec == {e: complex(v) for e, v in given.items()}, label
+        text = dump_json(surface_to_dict(t))
+        assert dump_json(surface_to_dict(surface_from_dict(json.loads(text)))) == text
+        c = build_cover(t).cover_surface
+        assert all(c.vec[2 * i + 1] == -v and c.vec[2 * i] == v
+                   for i, v in enumerate(t.vec[e] for e in t.edges())), label

@@ -524,3 +524,43 @@ def test_cochain_maps_are_built_once_per_homology(monkeypatch):
         h.cocycle_functional(_rand_vec(h, rng).coords)
         wedge_cup_oracle(h, _rand_vec(h, rng), _rand_vec(h, rng, "relative"))
     assert len(calls) == 3
+
+
+def test_basis_tag_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto into the process; the basis tag uses
+    # the builtin sha1 module instead
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qdlab
+
+    code = ("import sys, qdlab\n"
+            "from qdlab.builders import bundled_surface\n"
+            "from qdlab.cover import build_cover\n"
+            "from qdlab.homology import homology_data\n"
+            "homology_data(build_cover(bundled_surface('genus2_generic')))\n"
+            "print(sorted(m for m in sys.modules if 'hashlib' in m))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qdlab.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_basis_tag_is_the_sha1_of_its_payload(monkeypatch, name):
+    import hashlib
+
+    import qdlab.homology as H
+
+    c = build_cover(bundled_surface(name))
+    tag = homology_data(c).basis_tag
+    blobs, sha1 = [], H.sha1
+    monkeypatch.setattr(H, "sha1", lambda blob: blobs.append(blob) or sha1(blob))
+    assert homology_data(c)._make_tag(c.base) == tag
+    assert tag == "hom1-" + hashlib.sha1(blobs[0]).hexdigest()[:16]

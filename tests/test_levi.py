@@ -332,6 +332,25 @@ class TestScenarios:
         assert digest.hexdigest() == \
             "07676a76e3b61cba0ce95213de4000b94d763ddc703003105ba43db5d61f9b0d"
 
+    def test_identity_routes_pair_each_named_vector_pair_once(self, monkeypatch):
+        rng = random.Random(29)
+        sc = PairingScenario.random(rng, n=3, fiber=True)
+        calls = []
+        w = PairingScenario.w
+        monkeypatch.setattr(PairingScenario, "w",
+                            lambda self, x, y: calls.append(1) or w(self, x, y))
+        sc.laplacian_fiber_general_route(), sc.laplacian_paper_formula()
+        sc.levi_green_log_route(), sc.levi_green_paper_formula()
+        assert len(calls) == 3   # wc(v1, v1), wc(v2, v2) and wc(u, v2)
+        sc.normal_vector_levi(), sc.thurston_topological_route()
+        assert len(calls) == 6   # two wedges of u's multiples, one Thurston
+        # rebinding a name drops its pairings
+        v2 = [2 * z for z in sc.vectors["v2"]]
+        old = sc.wc("v2", "v2")
+        sc.vectors["v2"] = v2
+        assert sc.wc("v2", "v2") == 4 * old
+        assert sc.wc("v2", "v2") == w(sc, v2, [z.conjugate() for z in v2])
+
     def test_first_variation_real_on_fiber(self):
         rng = random.Random(61)
         sc = PairingScenario.random(rng, fiber=True)
