@@ -30,6 +30,8 @@ positive and the flipped quad, whose three sides B, sigma*D and A the flip
 copies unrounded, reads negative.  In exact arithmetic the two values are
 negatives of each other; rounded vectors need not close, and asking for both
 keeps a quad whose exact twin is cocircular from flipping back and forth.
+The values a float ``FlipRecord`` keeps are those same exact values rounded
+once, so each record reads positive before its flip and negative after it.
 
 Edges whose two sides lie on the same triangle are unflippable and are
 skipped; they can never violate the (strict) condition anyway in the
@@ -64,12 +66,13 @@ def _incircle(A, C, D, sgn):
 
 
 def _dyadic(zs):
-    """Complex binary64 values as Gaussian integers over one power of two:
-    every finite double is a dyadic rational, so this is exact."""
+    """Complex binary64 values as Gaussian integers over one power of two,
+    returned as (pairs, the power of two): every finite double is a dyadic
+    rational, so this is exact."""
     parts = [x.as_integer_ratio() for z in zs for x in (z.real, z.imag)]
     big = max(q for _, q in parts)
     ints = [p * (big // q) for p, q in parts]
-    return list(zip(ints[::2], ints[1::2]))
+    return list(zip(ints[::2], ints[1::2])), big
 
 
 def incircle_certificate(s: FlatSurface, e):
@@ -119,9 +122,23 @@ def _violates(s: FlatSurface, r):
         num = s._num
         return _incircle(num[a1], num[b1], num[b2], sgn) > 0
     vec = s.vec
-    A, C, D, B = _dyadic([vec[a1], vec[b1], vec[b2], vec[s.prev_edge(r)]])
+    (A, C, D, B), _ = _dyadic([vec[a1], vec[b1], vec[b2], vec[s.prev_edge(r)]])
     return (_incircle(A, C, D, sgn) > 0
             and _incircle(B, (sgn * D[0], sgn * D[1]), A, 1) < 0)
+
+
+def _recorded_incircle(s: FlatSurface, e):
+    """The incircle value a :class:`FlipRecord` keeps: in exact mode
+    :func:`incircle_certificate`; in float mode the exact value on the
+    binary64 sides, the ones the flip decision reads, rounded once.  So a
+    float record is positive before its flip and negative after it."""
+    if s.mode == "exact":
+        return incircle_certificate(s, e)
+    f = s.glue[e]
+    vec = s.vec
+    (A, C, D), big = _dyadic([vec[s.next_edge(e)], vec[s.next_edge(f)],
+                              vec[s.prev_edge(f)]])
+    return float(Fraction(_incircle(A, C, D, s.sign[e]), big ** 4))
 
 
 def is_delaunay(s: FlatSurface):
@@ -203,7 +220,8 @@ def delaunayize(s: FlatSurface, max_rounds=None):
 
     Returns (surface, [FlipRecord...]).  The iteration cap is a guard for
     float mode; with exact predicates the loop provably terminates.  In
-    float mode the records keep the float incircle values.
+    float mode the records keep the incircle values of the binary64 sides,
+    evaluated exactly and rounded once (see :func:`_recorded_incircle`).
     """
     if max_rounds is None:
         max_rounds = 400 * max(1, s.num_geometric_edges())
@@ -225,7 +243,7 @@ def delaunayize(s: FlatSurface, max_rounds=None):
             # flippable guard only matters for float noise
             if not (_violates(cur, e) and flippable(cur, e)):
                 continue
-            cert = incircle_certificate(cur, e)
+            cert = _recorded_incircle(cur, e)
             # the flip changes the quads of the pairs with an edge on the two
             # flipped triangles (the same six edge ids before and after) and
             # of no other pair, so only those need a new incircle test
@@ -235,7 +253,7 @@ def delaunayize(s: FlatSurface, max_rounds=None):
             violations -= sum(_violates(cur, r) for r in touched)
             cur = flip_edge(cur, e)
             steps += 1
-            after = incircle_certificate(cur, e)
+            after = _recorded_incircle(cur, e)
             violations += sum(_violates(cur, r) for r in touched)
             records.append(FlipRecord(e, cert, after, nb_before, violations))
             progressed = True

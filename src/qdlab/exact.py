@@ -221,6 +221,18 @@ def integer_vector(vec):
     return [x.numerator * (d // x.denominator) for x in vec], d
 
 
+def gaussian_numerators(values):
+    """Exact complex values (QC, Fraction or int) as (pairs, den): pair k is
+    the Gaussian integer (re, im) with values[k] = (re + i*im)/den, and den
+    is the lcm of the denominators of every real and imaginary part.  The
+    Fractions are in lowest terms, so the gcd of den and all numerators is
+    1.  TypeError on a float or complex value."""
+    zs = [v if type(v) is QC else _coerce(v) for v in values]
+    den = reduce(lcm, (x.denominator for z in zs for x in (z.re, z.im)), 1)
+    return [(z.re.numerator * (den // z.re.denominator),
+             z.im.numerator * (den // z.im.denominator)) for z in zs], den
+
+
 def _rref_integer(matrix):
     """:func:`rref` of an int and Fraction matrix, fraction-free.  The gcd
     and lcm fold through ``reduce``: ``gcd(*row)`` builds an argument tuple

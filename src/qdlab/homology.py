@@ -8,9 +8,14 @@ absolute homology, and the wedge pairing
     wedge(x, y) = -x^T J^{-1} y
 
 on period vectors, normalized so that sqrt(-1) * wedge(u, conj(u)) = 4*area
-for the period vector u of the abelian differential upstairs.  It is summed
-by :func:`sparse_pairing` over the nonzero entries of each row of J^{-1},
-which ``HomologyData`` keeps next to the dense matrix.
+for the period vector u of the abelian differential upstairs.
+``HomologyData`` keeps J^{-1} and the comparison map (relative-minus
+coordinates of the absolute-minus cycles) also as sparse integer rows over
+one denominator each.  An exact period vector (Gaussian-integer numerators
+over one denominator, see ``periods``) is restricted through the comparison
+rows and paired against the J^{-1} rows in Python ints, and only the result
+becomes a QC.  Float vectors are summed by :func:`sparse_pairing` over the
+nonzero Fraction entries of each row of J^{-1}.
 
 H_1 bases come from a tree-cotree decomposition (Eppstein, SODA 2003;
 Erickson-Whittlesey, SODA 2005), built with union-find on integers:
@@ -68,13 +73,16 @@ scaling to the rational one, which leaves the RREF unchanged.  The
 intersection form G is the integer cup sum of the dual cocycles' numerators,
 divided once.  Fractions appear only at the public boundary: the bases, i_*,
 the comparison map, J and Jinv hold Fraction entries, and the cochain map's
-coefficients are the Fractions ``rref`` returns.
+coefficients are the Fractions ``rref`` returns.  The cup-product oracle
+(:func:`wedge_cup_oracle`) pairs QC coordinates through the cochain map, an
+arithmetic route independent of the integer wedge.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 # the builtin module, not hashlib: hashlib maps OpenSSL into the process
@@ -400,6 +408,9 @@ class HomologyData:
         self.J = [[-Ginv[i][j] for j in range(m)] for i in range(m)] if m else []
         self.Jinv = [[-G[i][j] for j in range(m)] for i in range(m)] if m else []
         self._jinv_rows = sparse_rows(self.Jinv)
+        # the same two maps as sparse integer rows over one denominator each
+        self._comparison_int = _integer_rows(self.comparison)
+        self._jinv_int = _integer_rows(self.Jinv)
 
         self.basis_tag = self._make_tag(cover.base)
 
@@ -596,7 +607,9 @@ def homology_data(cover: DoubleCover) -> HomologyData:
 # wedge and Hermitian pairings on period vectors
 # ---------------------------------------------------------------------------
 
-def _absolute_coords(h: HomologyData, x):
+def _checked_basis(h: HomologyData, x):
+    """The minus basis of ``x``'s space, after checking that ``x`` is a
+    period vector on it."""
     from .periods import PeriodVector
 
     if not isinstance(x, PeriodVector):
@@ -604,9 +617,14 @@ def _absolute_coords(h: HomologyData, x):
     if x.basis_tag != h.basis_tag:
         raise BasisMismatch("period vector bound to a different basis")
     basis = h.abs_minus_basis if x.space == "absolute" else h.rel_minus_basis
-    if len(x.coords) != len(basis):
-        raise BasisMismatch(f"{x.space} vector has {len(x.coords)} coordinates, "
+    if x._length() != len(basis):
+        raise BasisMismatch(f"{x.space} vector has {x._length()} coordinates, "
                             f"rank is {len(basis)}")
+    return basis
+
+
+def _absolute_coords(h: HomologyData, x):
+    _checked_basis(h, x)
     if x.space == "absolute":
         return list(x.coords)
     # restrict a relative functional along the comparison map
@@ -621,6 +639,61 @@ def _absolute_coords(h: HomologyData, x):
             s = term if s is None else s + term
         out.append(F0 if s is None else s)
     return out
+
+
+def _integer_rows(matrix):
+    """A Fraction matrix M as (rows, d): the nonzero entries (column,
+    numerator) of each row of the integer matrix d*M, d the lcm of the
+    denominators."""
+    d = reduce(lcm, (x.denominator for row in matrix for x in row), 1)
+    return [[(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+            for row in matrix], d
+
+
+def _absolute_numerators(h: HomologyData, x):
+    """``x`` on the absolute minus basis as (Gaussian-integer numerators, d),
+    a relative vector restricted through the integer comparison rows; None
+    for a vector without numerators (a float vector)."""
+    _checked_basis(h, x)
+    num = x._num
+    if num is None or x.space == "absolute":
+        return None if num is None else (num, x._den)
+    rows, d = h._comparison_int
+    out = []
+    for row in rows:
+        re = im = 0
+        for j, c in row:
+            a, b = num[j]
+            re += c * a
+            im += c * b
+        out.append((re, im))
+    return out, d * x._den
+
+
+def _pair_numerators(h: HomologyData, x, y):
+    """-x^T J^{-1} y for x, y given by :func:`_absolute_numerators`: one QC,
+    or F0 when no term has both factors nonzero (as :func:`sparse_pairing`
+    finds no term)."""
+    rows, d = h._jinv_int
+    (xn, xd), (yn, yd) = x, y
+    re = im = 0
+    hit = False
+    for (a, b), row in zip(xn, rows):
+        if a or b:
+            # (J^{-1} y)_i over d, summed over the nonzero y_j
+            tr = ti = 0
+            for j, c in row:
+                yr, yi = yn[j]
+                if yr or yi:
+                    hit = True
+                    tr += c * yr
+                    ti += c * yi
+            re += a * tr - b * ti
+            im += a * ti + b * tr
+    if not hit:
+        return F0
+    den = xd * d * yd
+    return QC(Fraction(-re, den), Fraction(-im, den))
 
 
 def sparse_rows(matrix):
@@ -648,9 +721,27 @@ def sparse_pairing(rows, x, y):
 
 
 def wedge(h: HomologyData, x, y):
-    """Topological wedge pairing: -x^T J^{-1} y on the absolute minus basis."""
+    """Topological wedge pairing: -x^T J^{-1} y on the absolute minus basis.
+
+    Exact vectors pair in Python ints (:func:`_pair_numerators`); a float
+    vector pairs its coordinates through :func:`sparse_pairing`."""
+    xn, yn = _absolute_numerators(h, x), _absolute_numerators(h, y)
+    if xn is not None and yn is not None:
+        return _pair_numerators(h, xn, yn)
     w = sparse_pairing(h._jinv_rows, _absolute_coords(h, x), _absolute_coords(h, y))
     return F0 if w is None else w
+
+
+def conjugate_wedges(h: HomologyData, vectors):
+    """The table [[wedge(x, conj(y)) for y in vectors] for x in vectors].
+    Exact vectors are restricted and conjugated once each, not once per
+    entry; the comparison map is real, so conjugation commutes with the
+    restriction."""
+    nums = [_absolute_numerators(h, x) for x in vectors]
+    if any(n is None for n in nums):
+        return [[wedge(h, x, y.conjugate()) for y in vectors] for x in vectors]
+    bars = [([(a, -b) for a, b in n], d) for n, d in nums]
+    return [[_pair_numerators(h, x, y) for y in bars] for x in nums]
 
 
 def wedge_cup_oracle(h: HomologyData, x, y):

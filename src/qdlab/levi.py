@@ -25,9 +25,12 @@ random vectors in a standard symplectic QC-space, with the fiber-family
 relations (norm normalization, vanishing of v1^u-bar, isotropy of the fiber
 image) imposed by exact linear projections.  With tanh d0 rational, every
 hyperbolic-function coefficient is rational and the checks are bit-exact.
-A scenario pairs -x^T J^{-1} y by :func:`homology.sparse_pairing`, the sum
-behind ``wedge``, over the nonzero entries of each row of J^{-1} (one per
-row for the standard form).
+A scenario pairs -x^T J^{-1} y on QC coordinates by
+:func:`homology.sparse_pairing` over the nonzero entries of each row of
+J^{-1} (one per row for the standard form).  Period vectors of a surface
+pair through ``wedge``, on Gaussian-integer numerators; a
+:class:`WedgeTable` restricts and conjugates each of its three vectors once
+(:func:`homology.conjugate_wedges`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ from .errors import (
     SingularPoint,
 )
 from .exact import QC, QC_I, conj, is_zero, nullspace
-from .homology import HomologyData, sparse_pairing, sparse_rows, wedge
+from .homology import (
+    HomologyData,
+    conjugate_wedges,
+    sparse_pairing,
+    sparse_rows,
+    wedge,
+)
 from .periods import PeriodVector
 
 F0 = Fraction(0)
@@ -92,9 +101,8 @@ class WedgeTable:
     KEYS = ("u", "v1", "v2")
 
     def __init__(self, h: HomologyData, u, v1, v2):
-        vecs = {"u": u, "v1": v1, "v2": v2}
-        self.wc = {a: {b: wedge(h, vecs[a], vecs[b].conjugate())
-                       for b in self.KEYS} for a in self.KEYS}
+        table = conjugate_wedges(h, (u, v1, v2))
+        self.wc = {a: dict(zip(self.KEYS, row)) for a, row in zip(self.KEYS, table)}
 
     @classmethod
     def from_family(cls, fam: DeformationFamily):

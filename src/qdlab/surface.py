@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     ClosureViolation,
@@ -73,7 +72,7 @@ from .errors import (
     SurfaceError,
     UnmarkedPole,
 )
-from .exact import QC, _coerce, is_zero
+from .exact import QC, gaussian_numerators, is_zero
 
 FLOAT_ANGLE_TOL = 1e-9  # |angle defect| / pi tolerated in float mode
 
@@ -95,17 +94,6 @@ def icross(u, v):
 def idot(u, v):
     """:func:`dot` of two Gaussian integers given as (re, im) int pairs."""
     return u[0] * v[0] + u[1] * v[1]
-
-
-def _numerators(vec):
-    """Exact edge vectors as (numerators, denominator): ``num[e]`` is the
-    Gaussian integer (re, im) with vec[e] = (re + i*im)/den, and den is the
-    lcm of the denominators of every real and imaginary part."""
-    vec = {e: v if type(v) is QC else _coerce(v) for e, v in vec.items()}
-    den = lcm(*(x.denominator for v in vec.values() for x in (v.re, v.im)))
-    return {e: (v.re.numerator * (den // v.re.denominator),
-                v.im.numerator * (den // v.im.denominator))
-            for e, v in vec.items()}, den
 
 
 class FlatSurface:
@@ -143,7 +131,8 @@ class FlatSurface:
         sits on it; the gluing signs are derived from the vectors.  In exact
         mode the vectors are QC, Fraction or int."""
         if mode == "exact":
-            num, den = _numerators(vec)
+            num, den = gaussian_numerators(vec.values())
+            num = dict(zip(vec, num))
             self._build(triangles, None, num, den, glue, mode)
         else:
             self._build(triangles, dict(vec), None, None, glue, mode)

@@ -249,6 +249,26 @@ def test_float_delaunayize_ends_on_seeded_variants():
                 assert is_delaunay(d)[0], (name, k)
 
 
+def test_float_flip_records_agree_with_their_flips():
+    # a float flip is decided by exact signs on the binary64 sides, and its
+    # record keeps those exact values rounded once; the float formula read
+    # <= 0 before the flip on 3 of these records (l_origami k = 11: 0.0)
+    records = 0
+    for name in bundled_names():
+        base = bundled_surface(name)
+        for k in range(40):
+            rng = random.Random(f"x{name}/{k}")
+            v = random_flip_variant(random_deform_variant(base, rng), rng,
+                                    rng.randint(0, 6))
+            for y in (v.to_float(), v.to_float().scaled(Fraction(1, 3)),
+                      v.scaled(0.3 + 1.7j)):
+                for r in delaunayize(y)[1]:
+                    assert type(r.incircle_before) is float, (name, k)
+                    assert r.incircle_before > 0 > r.incircle_after, (name, k, r)
+                    records += 1
+    assert records > 1000
+
+
 # ---------------------------------------------------------------------------
 # the integer predicates against the QC formulas they replaced
 # ---------------------------------------------------------------------------

@@ -564,3 +564,128 @@ def test_basis_tag_is_the_sha1_of_its_payload(monkeypatch, name):
     monkeypatch.setattr(H, "sha1", lambda blob: blobs.append(blob) or sha1(blob))
     assert homology_data(c)._make_tag(c.base) == tag
     assert tag == "hom1-" + hashlib.sha1(blobs[0]).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# the integer wedge against the sum over QC coordinates it replaced
+# ---------------------------------------------------------------------------
+
+def _qc_absolute(h, x):
+    """x on the absolute minus basis, restricted through h.comparison in QC."""
+    if x.space == "absolute":
+        return list(x.coords)
+    return [sum((z * cf for z, cf in zip(x.coords, row) if cf and not z.is_zero()),
+                QC(0, 0)) for row in h.comparison]
+
+
+def _oracle_wedge(h, x, y):
+    """The old route: sparse_pairing over QC coordinates, F0 when no term
+    has both factors nonzero."""
+    from qdlab.homology import sparse_pairing, sparse_rows
+
+    w = sparse_pairing(sparse_rows(h.Jinv), _qc_absolute(h, x), _qc_absolute(h, y))
+    return Fraction(0) if w is None else w
+
+
+def _oracle_thurston(h, x, y):
+    """thurston_pairing's two routes on _oracle_wedge; None where they
+    disagree (the function raises there)."""
+    rx = PeriodVector(tuple((z + z.conjugate()) / 2 for z in x.coords),
+                      x.basis_tag, x.space)
+    ry = PeriodVector(tuple((z + z.conjugate()) / 2 for z in y.coords),
+                      y.basis_tag, y.space)
+    route1 = _oracle_wedge(h, rx, ry) / 8
+    wxy_bar = _oracle_wedge(h, x, y.conjugate())
+    if isinstance(wxy_bar, QC):
+        r1 = route1.re if isinstance(route1, QC) else Fraction(route1)
+        if isinstance(route1, QC) and route1.im != 0 or r1 != wxy_bar.re / 16:
+            return None
+        return r1
+    r1 = complex(route1).real
+    return r1 if abs(r1 - complex(wxy_bar).real / 16) <= 1e-9 * max(1.0, abs(r1)) \
+        else None
+
+
+def _sparse_vec(h, rng, space, support):
+    """Random exact vector that vanishes outside ``support``."""
+    n = len(h.abs_minus_basis if space == "absolute" else h.rel_minus_basis)
+    return PeriodVector(
+        tuple(QC(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+              if k in support else QC(0, 0) for k in range(n)),
+        h.basis_tag, space, "exact")
+
+
+def _pairing_inputs(h, rng):
+    """Dense, sparse and zero vectors in both spaces, including pairs whose
+    wedge has no term with both factors nonzero."""
+    for sx in ("absolute", "relative"):
+        for sy in ("absolute", "relative"):
+            for _ in range(3):
+                yield _rand_vec(h, rng, sx), _rand_vec(h, rng, sy)
+            x = _sparse_vec(h, rng, sx, {0})
+            yield x, _sparse_vec(h, rng, sy, {0})
+            yield x, _sparse_vec(h, rng, sy, {1})
+            yield x.zero_like(), _rand_vec(h, rng, sy)
+
+
+def _assert_same_value_and_type(got, want, what):
+    assert type(got) is type(want) and got == want, what
+
+
+def test_integer_wedge_matches_sparse_pairing_on_qc_coords():
+    from qdlab.builders import random_flip_variant
+    from qdlab.levi import WedgeTable, thurston_pairing
+
+    hits = {Fraction: 0, QC: 0}
+    for name in bundled_names():
+        rng = random.Random(f"iwedge/{name}")
+        base = bundled_surface(name)
+        for s in (base, random_flip_variant(base, rng, 4), base.scaled(Fraction(2, 3))):
+            c = build_cover(s)
+            h = homology_data(c)
+            u = period_map(c, h)
+            for x, y in [(u, u.conjugate()), (u, u)] + list(_pairing_inputs(h, rng)):
+                want = _oracle_wedge(h, x, y)
+                hits[type(want)] += 1
+                _assert_same_value_and_type(wedge(h, x, y), want, (name, x, y))
+                herm = QC_I * _oracle_wedge(h, x, y.conjugate()) / 4
+                _assert_same_value_and_type(hermitian_pairing(h, x, y), herm, name)
+                if x.space == y.space:
+                    for a, b in ((x, y), (x, x), (x, x.scale(QC(0, 1)))):
+                        t = _oracle_thurston(h, a, b)
+                        if t is None:
+                            with pytest.raises(InconsistentFunctional):
+                                thurston_pairing(h, a, b)
+                        else:
+                            _assert_same_value_and_type(thurston_pairing(h, a, b), t, name)
+            v1, v2 = _rand_vec(h, rng, "relative"), _sparse_vec(h, rng, "relative", {1})
+            for vecs in ((u, v1, v2), (u, v1.zero_like(), v2), (v2, v2, u.zero_like())):
+                t = WedgeTable(h, *vecs)
+                for a, xa in zip(t.KEYS, vecs):
+                    for b, xb in zip(t.KEYS, vecs):
+                        _assert_same_value_and_type(
+                            t.wc[a][b], _oracle_wedge(h, xa, xb.conjugate()), (name, a, b))
+    assert hits[Fraction] > 20 and hits[QC] > 100
+
+
+def test_integer_wedge_reads_both_denominators():
+    # J^{-1} has denominator 2 on the bundled surfaces, but their comparison
+    # maps are integral; a copy of the homology with a comparison map over
+    # 35 shows that the restriction divides by it
+    import copy
+
+    from qdlab.homology import _integer_rows
+
+    _, c, h = _ctx("genus2_generic")
+    assert _integer_rows(h.Jinv)[1] == 2 and _integer_rows(h.comparison)[1] == 1
+    rng = random.Random(17)
+    h2 = copy.copy(h)
+    h2.comparison = [[Fraction(rng.randint(-6, 6), rng.choice((1, 5, 7))) for _ in row]
+                     for row in h.comparison]
+    h2._comparison_int = _integer_rows(h2.comparison)
+    assert h2._comparison_int[1] == 35
+    for _ in range(10):
+        x = _rand_vec(h2, rng, "relative")
+        for y in (_rand_vec(h2, rng, "absolute"), _rand_vec(h2, rng, "relative")):
+            _assert_same_value_and_type(wedge(h2, x, y), _oracle_wedge(h2, x, y), y.space)
