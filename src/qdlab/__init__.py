@@ -31,7 +31,7 @@ from .levi import (
     thurston_pairing,
 )
 from .periods import PeriodVector, chain_period_cochain, period_map
-from .strata import SymbolPoset, degenerates_to, enumerate_symbols
+from .strata import SymbolPoset, degenerates_to, enumerate_symbols, realizable
 from .surface import (
     FlatSurface,
     StratumSymbol,
@@ -58,7 +58,7 @@ __all__ = [
     "FDConfig", "PairingScenario", "norm_of_linear_family",
     "first_variation_check", "laplacian_check_linear", "disk_harmonicity_check",
     "demailly_ratio", "thurston_pairing", "levi_nonneg_quantity",
-    "SymbolPoset", "enumerate_symbols", "degenerates_to",
+    "SymbolPoset", "enumerate_symbols", "degenerates_to", "realizable",
     "bundled_surface", "bundled_names",
     "__version__",
 ]

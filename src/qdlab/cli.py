@@ -147,7 +147,6 @@ def cmd_homology(args):
             {str(h.reps[i]): str(c_) for i, c_ in enumerate(vec) if c_}
             for vec in h.rel_minus_basis
         ],
-        "involution_abs": [[str(x) for x in row] for row in h.iota_abs],
     }
     _emit(out, args.out)
     return 0

@@ -94,8 +94,9 @@ def _check_relative(h: HomologyData, v: PeriodVector):
 def lift_to_cochain(h: HomologyData, v: PeriodVector):
     """Closed anti-invariant cochain realizing a relative-basis functional.
 
-    Returns values on directed cover edges; vanishes on the deterministic
-    complement of the cycle space chosen by the solver.
+    Returns values on directed base edges, each the value on the edge's
+    sheet-0 lift; vanishes on the deterministic complement of the cycle
+    space chosen by the solver.
     """
     _check_relative(h, v)
     return cocycle_representative(h, v.coords, "relative")
@@ -108,13 +109,12 @@ def affine_deform(c: DoubleCover, h: HomologyData, v: PeriodVector) -> DoubleCov
     Raises TriangleFlip when some deformed triangle degenerates or reverses.
     """
     _check_relative(h, v)
-    per_rep = h.cocycle_functional(list(v.coords), space="relative")
+    a = h.cocycle_functional(list(v.coords), space="relative")
     # the cochain is anti-invariant, so each new cover triangle is a new base
     # triangle with its vectors kept or all negated, and validating the new
     # base checks them all
     base = c.base
-    new_base_vec = {e: base.vec[e] + h.cochain_on_edge(per_rep, c.lift_edge(e, 0))
-                    for e in base.edges()}
+    new_base_vec = {e: base.vec[e] + h.cochain_on_edge(a, e) for e in base.edges()}
     try:
         new_base = base.with_edge_vectors(new_base_vec)
     except DegenerateTriangle as exc:

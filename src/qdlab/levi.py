@@ -364,18 +364,19 @@ def thurston_pairing(h: HomologyData, psi1: PeriodVector, psi2: PeriodVector):
     imaginary part of (1/4) of the Hermitian pairing; the two agree exactly
     precisely when wedge(psi1, psi2) has no real part, which holds for period
     classes of anti-invariant 1-forms proportional to the cover differential.
+    Two exact vectors give a Fraction, also when a wedge has no nonzero term
+    and comes back as the Fraction 0; a float vector gives a float.
     """
     rx = _real_part_vector(psi1).scale(Fraction(1, 2))
     ry = _real_part_vector(psi2).scale(Fraction(1, 2))
     route1 = wedge(h, rx, ry) / 8
     wxy_bar = wedge(h, psi1, psi2.conjugate())
     # Im((1/4) * (i/4) * wedge(x, conj y)) = Re(wedge(x, conj y)) / 16
-    if isinstance(wxy_bar, QC):
-        route2 = wxy_bar.re / 16
-        r1 = route1.re if isinstance(route1, QC) else Fraction(route1)
-        if isinstance(route1, QC) and route1.im != 0:
+    if psi1._num is not None and psi2._num is not None:
+        r1, i1 = _exact_parts(route1)
+        if i1:
             raise InconsistentFunctional("real-part wedge came out complex")
-        if r1 != route2:
+        if r1 != _exact_parts(wxy_bar)[0] / 16:
             raise InconsistentFunctional(
                 "pairing routes disagree: inputs are not psi-class periods "
                 "(wedge(psi1, psi2) has a real part)")
@@ -385,6 +386,11 @@ def thurston_pairing(h: HomologyData, psi1: PeriodVector, psi2: PeriodVector):
     if abs(r1 - route2) > 1e-9 * max(1.0, abs(r1)):
         raise InconsistentFunctional("pairing routes disagree beyond float noise")
     return r1
+
+
+def _exact_parts(w):
+    """(re, im) of an exact wedge value, a QC or a Fraction."""
+    return (w.re, w.im) if isinstance(w, QC) else (Fraction(w), F0)
 
 
 def levi_nonneg_quantity(h: HomologyData, u: PeriodVector, psi1: PeriodVector,

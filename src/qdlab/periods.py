@@ -11,7 +11,7 @@ positive denominator, as an exact ``FlatSurface`` keeps its edge vectors:
 (re + i*im)/``_den``, reduced so that the gcd of ``_den`` and every numerator
 is 1.  Equal vectors then have equal numerators.  ``+``, ``-``, ``scale``,
 ``conjugate`` and ``is_zero`` run on the ints, and so do ``period_map`` on an
-exact cover (against the cover's numerators and the integer minus cycles)
+exact surface (against the base numerators and the integer minus cycles)
 and ``homology.wedge`` (against the integer rows of the comparison map and
 of J^{-1}).  ``coords`` is the given tuple for a vector constructed from
 coordinates, and for a derived vector the QC tuple built on first read.  A
@@ -200,12 +200,15 @@ def _from_numerators(num, den, basis_tag, space, mode):
 def period_map(c: DoubleCover, h: HomologyData) -> PeriodVector:
     """Periods of the cover's abelian differential on the relative minus basis.
 
-    On an exact cover each period is the sum of the cover's numerators
-    against an integer minus cycle, so the cover's QC table is never built."""
-    _check_compatible(c, h)
-    s = c.cover_surface
-    if c.base.mode == "exact":
-        num = s._num
+    The period of the twisted cycle sum c_r r~ is 2 sum c_r vec(r) (see
+    ``homology``), so it is read from the base.  On an exact base each
+    period is the sum of the base numerators against an integer minus
+    cycle, and no QC table is built."""
+    base = c.base
+    if h._combinatorics != (base.triangles, base.glue, base.sign):
+        raise BasisMismatch("homology data built from different combinatorics")
+    if base.mode == "exact":
+        num = base._num
         den = reduce(lcm, (d for _, d in h._rel_minus), 1)
         out = []
         for z, d in h._rel_minus:
@@ -215,27 +218,20 @@ def period_map(c: DoubleCover, h: HomologyData) -> PeriodVector:
                     x, y = num[r]
                     re += k * x
                     im += k * y
-            m = den // d
+            m = 2 * (den // d)
             out.append((re * m, im * m))
-        return _from_numerators(out, den * s._den, h.basis_tag,
+        return _from_numerators(out, den * base._den, h.basis_tag,
                                 "relative", "exact")
     coords = []
     for cyc in h.rel_minus_basis:
         total = None
-        for i, coef in enumerate(cyc):
+        for r, coef in zip(h.reps, cyc):
             if is_zero(coef):
                 continue
-            term = s.vec[h.reps[i]] * coef
+            term = base.vec[r] * (2 * coef)
             total = term if total is None else total + term
         coords.append(0j if total is None else total)
-    return PeriodVector(tuple(coords), h.basis_tag, "relative", c.base.mode)
-
-
-def _check_compatible(c: DoubleCover, h: HomologyData):
-    """The homology data must describe this cover's combinatorics."""
-    if h.csurf.triangles != c.cover_surface.triangles or \
-            h.csurf.glue != c.cover_surface.glue:
-        raise BasisMismatch("homology data built from different combinatorics")
+    return PeriodVector(tuple(coords), h.basis_tag, "relative", base.mode)
 
 
 def chain_period_cochain(c: DoubleCover):

@@ -15,6 +15,13 @@ square stratum of equal dimension, keeping the poset a ranked DAG.
 ``degenerates_to`` answers reachability at the level of marked/unmarked
 point assignments (breadth-first over collision sequences), which is finer
 than symbol-level edge composition.
+
+``enumerate_symbols`` lists every arithmetically consistent symbol, but four
+of those strata contain no surface (Masur-Smillie, Comment. Math. Helv.
+1993): with epsilon = -1, Q(0) and Q(1, -1) in genus 1 and Q(4) and Q(3, 1)
+in genus 2, together with their variants carrying free marked points.
+:func:`realizable` rejects them; ``SymbolPoset`` drops them from its nodes
+and edges, and ``degenerates_to`` is False when either end is one of them.
 """
 
 from __future__ import annotations
@@ -35,6 +42,22 @@ def _partitions(total, max_part=None):
     for first in range(min(total, max_part), 0, -1):
         for rest in _partitions(total - first, first):
             yield (first,) + rest
+
+
+# (genus, singular orders) of the empty strata of non-square differentials
+_EMPTY_STRATA = {(1, ()), (1, (-1, 1)), (2, (4,)), (2, (1, 3))}
+
+
+def realizable(sym: StratumSymbol, g: int) -> bool:
+    """Whether some surface of genus g has the symbol ``sym``, which must be
+    arithmetically consistent.  Every stratum of squares is realized; of the
+    others only the four Masur-Smillie strata are empty, whatever the number
+    of free marked points."""
+    if sym.epsilon == 1:
+        return True
+    orders = (-1,) * sym.n_poles + tuple(l for l, n in sym.n_zeros
+                                         for _ in range(n))
+    return (g, orders) not in _EMPTY_STRATA
 
 
 def enumerate_symbols(g: int, m: int):
@@ -180,7 +203,7 @@ def degenerates_to(a: StratumSymbol, b: StratumSymbol, g: int, m: int) -> bool:
             raise MismatchedType(f"symbol {name} does not match genus {g}")
         if sym.m_free + sym.n_poles > m:
             raise MismatchedType(f"symbol {name} does not fit m={m}")
-    if a == b:
+    if a == b or not (realizable(a, g) and realizable(b, g)):
         return False
     if stratum_dim(b, g) >= stratum_dim(a, g):
         return False
@@ -203,11 +226,12 @@ def degenerates_to(a: StratumSymbol, b: StratumSymbol, g: int, m: int) -> bool:
 
 
 class SymbolPoset:
-    """Symbols for fixed (g, m) with single-collision adjacency edges."""
+    """Realizable symbols for fixed (g, m) with single-collision adjacency
+    edges."""
 
     def __init__(self, g: int, m: int):
         self.g, self.m = g, m
-        self.nodes = enumerate_symbols(g, m)
+        self.nodes = [s for s in enumerate_symbols(g, m) if realizable(s, g)]
         index = {s: i for i, s in enumerate(self.nodes)}
         edges = set()
         for i, sym in enumerate(self.nodes):

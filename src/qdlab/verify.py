@@ -41,7 +41,7 @@ from .levi import (
     thurston_pairing,
 )
 from .periods import PeriodVector, period_map
-from .strata import SymbolPoset, degenerates_to
+from .strata import SymbolPoset, degenerates_to, realizable
 from .surface import area, make_symbol, stratum_dim, symbol
 
 EXPECTED_RANKS = {
@@ -435,21 +435,26 @@ def check_strata_poset():
     ok04 = nodes04 == [pillow_sym] and poset04.edges == []
     ok04 = ok04 and pillow_sym in poset04.maxima()
 
+    # Q(1, -1) is empty in genus 1 (Masur-Smillie), so the square torus is
+    # the only node
     poset11 = SymbolPoset(1, 1)
     torus_sym = make_symbol(1, 0, {}, 1)
-    generic11 = make_symbol(0, 1, {1: 1}, -1)
-    expect_nodes = {torus_sym, generic11}
-    ok11 = set(poset11.nodes) == expect_nodes and poset11.edges == []
-    # both strata have dimension 2: no strictly-decreasing collision exists
-    ok11 = ok11 and not degenerates_to(generic11, torus_sym, 1, 1)
+    empty11 = make_symbol(0, 1, {1: 1}, -1)
+    ok11 = poset11.nodes == [torus_sym] and poset11.edges == []
+    ok11 = ok11 and not realizable(empty11, 1)
+    ok11 = ok11 and not degenerates_to(empty11, torus_sym, 1, 1)
 
-    # dimension strictly decreases along edges of a richer poset
+    # dimension strictly decreases along edges of a richer poset, which
+    # lacks the empty Q(4) and Q(3, 1)
     poset20 = SymbolPoset(2, 0)
     dims = poset20.dims()
     strict = all(dims[i] > dims[j] for i, j in poset20.edges)
     top = make_symbol(0, 0, {1: 4}, -1)
     merged = make_symbol(0, 0, {2: 1, 1: 2}, -1)
     chain = degenerates_to(top, merged, 2, 0)
+    empty20 = [make_symbol(0, 0, {4: 1}, -1), make_symbol(0, 0, {3: 1, 1: 1}, -1)]
+    dropped = not any(s in poset20.nodes or degenerates_to(top, s, 2, 0)
+                      for s in empty20)
     cases = [
         {"poset": "(0,4)", "nodes": [str(s) for s in nodes04],
          "edges": poset04.edges, "ok": ok04},
@@ -457,10 +462,10 @@ def check_strata_poset():
          "edges": poset11.edges, "ok": ok11},
         {"poset": "(2,0)", "nodes": len(poset20.nodes),
          "edges": len(poset20.edges), "strictly_decreasing": strict,
-         "simple_collision": chain},
+         "simple_collision": chain, "empty_strata_dropped": dropped},
     ]
-    return CheckReport("strata-poset", ok04 and ok11 and strict and chain,
-                       cases=cases)
+    return CheckReport("strata-poset", ok04 and ok11 and strict and chain
+                       and dropped, cases=cases)
 
 
 # -- driver ------------------------------------------------------------------------

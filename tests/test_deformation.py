@@ -41,8 +41,9 @@ def _rand_rel(h, rng, span=3, scale=Fraction(1, 16)):
 
 
 def _evaluate(cochain, cyc):
-    """A cochain (values per edge rep) on a cycle (rep coordinates)."""
-    return sum((cochain[i] * x for i, x in enumerate(cyc) if x), QC(0))
+    """A cochain (values a_r per edge pair) on a twisted cycle (coefficients
+    on r~ = lift(r, 0) - lift(r, 1)): 2 * sum c_r a_r."""
+    return 2 * sum((cochain[i] * x for i, x in enumerate(cyc) if x), QC(0))
 
 
 class TestGeodesicFlow:
@@ -164,12 +165,20 @@ class TestLiftToCochain:
                 assert _evaluate(per_rep, cyc) == v.coords[j]
 
     def test_anti_invariance(self):
+        # the base values extend to the cover as coc[e] on lift(e, 0) and
+        # -coc[e] on lift(e, 1); that cochain is well defined across every
+        # glued cover edge and anti-invariant
         rng = random.Random(29)
         s, c, h = _ctx("pillowcase")
         v = _rand_rel(h, rng, scale=Fraction(1, 1))
         coc = lift_to_cochain(h, v)
-        for f in c.cover_surface.edges():
-            assert coc[c.involution_edge(f)] == -coc[f]
+        assert sorted(coc) == s.edges()
+        up = {c.lift_edge(e, sheet): -x if sheet else x
+              for e, x in coc.items() for sheet in (0, 1)}
+        cs = c.cover_surface
+        for f in cs.edges():
+            assert up[cs.glue[f]] == -up[f]
+            assert up[c.involution_edge(f)] == -up[f]
 
 
 @pytest.mark.parametrize("name", bundled_names())

@@ -27,26 +27,40 @@ def _ctx(name):
 
 
 def evaluate_cochain(cochain, chain_vec):
-    """A cochain (values per edge rep) on a chain (rep coordinates)."""
+    """A cochain (values a_r per edge pair) on a twisted chain (coefficients
+    on r~ = lift(r, 0) - lift(r, 1)): 2 * sum c_r a_r."""
     tot = None
     for i, x in enumerate(chain_vec):
         if is_zero(x):
             continue
         term = cochain[i] * x
         tot = term if tot is None else tot + term
-    return Fraction(0) if tot is None else tot
+    return Fraction(0) if tot is None else 2 * tot
 
 
-def subdivision_cup(h, alpha, beta):
-    """The cup product oracle: the antisymmetrized Alexander-Whitney product
-    on the barycentric subdivision, with a local potential of the second
-    cochain per triangle.  Unlike ``h.cup_product_pairing`` it reads every
-    edge of each triangle, so it does not assume the cochains closed."""
+def lift_cochain(cover, h, a):
+    """A cochain of ``h`` (values a_r per edge pair) on every directed cover
+    edge: ``cochain_on_edge`` on the sheet-0 lift, its negative on sheet 1."""
+    out = {}
+    for f in cover.cover_surface.edges():
+        e, sheet = cover.project_edge(f)
+        x = h.cochain_on_edge(a, e)
+        out[f] = -x if sheet else x
+    return out
+
+
+def subdivision_cup(cs, alpha, beta):
+    """The cup product oracle on the cover surface ``cs``: the
+    antisymmetrized Alexander-Whitney product on the barycentric subdivision,
+    with a local potential of the second cochain per triangle.  The cochains
+    give a value per directed cover edge.  Unlike ``h.cup_product_pairing``
+    it reads every edge of each cover triangle, so it does not assume the
+    cochains closed."""
     def unsym(a, b):
         total = None
-        for tri in h.csurf.triangles:
-            a1, a2, a3 = (h.cochain_on_edge(a, f) for f in tri)
-            b1, b2, _ = (h.cochain_on_edge(b, f) for f in tri)
+        for tri in cs.triangles:
+            a1, a2, a3 = (a[f] for f in tri)
+            b1, b2, _ = (b[f] for f in tri)
             # potentials of b at the corners tail(f1), tail(f2), tail(f3)
             p0, p1, p2 = b1 * 0, b1, b1 + b2
             cb = (p0 + p1 + p2) / 3
@@ -209,35 +223,92 @@ class TestHermitian:
                 hermitian_pairing(h, y, x).conjugate()
 
 
+def _variant(name, flip_seed):
+    """Bundled surface ``name`` (or one of the two test surfaces below),
+    flipped by the seeded ``random_flip_variant`` unless ``flip_seed`` is
+    None."""
+    from qdlab.builders import random_flip_variant
+
+    extra = {"two_square_torus": _two_square_torus,
+             "four_square_pillowcase": _four_square_pillowcase}
+    surf = extra[name]() if name in extra else bundled_surface(name)
+    if flip_seed is not None:
+        rng = random.Random(flip_seed)
+        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
+    return surf
+
+
+def _two_square_torus():
+    """1x2 torus of two unit squares with both vertices marked.  Its vertices
+    are unbranched and carry twisted 0-cochains that are not closed, so
+    unlike the bundled surfaces its absolute cochain system has free
+    unknowns."""
+    from qdlab.builders import _assemble
+
+    return _assemble([0, 6], [(1, 11, 1), (7, 5, 1), (0, 4, 1), (6, 10, 1)],
+                     marked=[0, 1])
+
+
+def _four_square_pillowcase():
+    """Four unit squares in a row, folded along the top and bottom into a
+    pillowcase with its four poles and one of its two regular vertices
+    marked.  Unlike every bundled surface it has unbranched vertices and
+    gluing signs -1, so its d1 rows depend on the sheets of the corners."""
+    from qdlab.builders import _assemble
+
+    return _assemble([0, 6, 12, 18],
+                     [(1, 11, 1), (7, 17, 1), (13, 23, 1), (5, 19, 1),
+                      (0, 18, -1), (6, 12, -1), (4, 22, -1), (10, 16, -1)],
+                     marked=[0, 1, 5, 7, 8])
+
+
+EXTRA_SURFACES = ["two_square_torus", "four_square_pillowcase"]
+
+
 def test_involution_star_squares_to_identity():
+    # iota_* on the oracle's bases of the cover's whole H_1 is an involution,
+    # and its -1 eigenspace has the rank of the twisted complex on the base
+    from qdlab.exact import rank
+
     for name in bundled_names():
-        _, _, h = _ctx(name)
-        n = len(h.iota_abs)
-        for i in range(n):
-            for j in range(n):
-                s = sum(h.iota_abs[i][k] * h.iota_abs[k][j] for k in range(n))
-                assert s == (1 if i == j else 0)
+        cover = build_cover(bundled_surface(name))
+        h = homology_data(cover)
+        o = _oracle(cover)
+        for io, r in ((o["iota_abs"], h.rank_abs_minus()),
+                      (o["iota_rel"], h.rank_rel_minus())):
+            n = len(io)
+            for i in range(n):
+                for j in range(n):
+                    s = sum(io[i][k] * io[k][j] for k in range(n))
+                    assert s == (1 if i == j else 0)
+            assert n - rank([[x + (i == j) for j, x in enumerate(row)]
+                             for i, row in enumerate(io)]) == r
 
 
 def test_minus_basis_chainlevel_antiinvariant():
     for name in bundled_names():
-        _, _, h = _ctx(name)
+        cover = build_cover(bundled_surface(name))
+        h = homology_data(cover)
+        o = _oracle(cover)
         for v in h.abs_minus_basis + h.rel_minus_basis:
-            iv = h.iota_chain(v)
-            assert all(a == -b for a, b in zip(v, iv))
+            z = o["lift"](v)
+            assert any(z) and o["iota"](z) == [-x for x in z]
 
 
-# -- oracle: the dense row-reduction kernel, one exact solve per cycle --------
+# -- oracle: dense row reduction on the whole chain complex of the cover ------
 
-def _oracle(h, cover):
-    """HomologyData's public outputs rebuilt from ``cover`` by dense Fraction
-    elimination: nullspace of d1, greedy reduction modulo triangle
-    boundaries, and ``exact.solve`` for every expressed cycle.  Of ``h`` only
-    the cochain lift is used; the cup product is :func:`subdivision_cup`."""
+def _oracle(cover):
+    """The cover's homology by dense Fraction elimination on its own chain
+    complex, with no use of HomologyData: H_1 bases from the nullspace of d1
+    reduced greedily modulo the triangle boundaries, iota_* on them, and the
+    minus bases from the nullspace of iota_* + 1.  Chains are lists over the
+    cover's edge reps; ``lift`` takes a twisted base chain (coefficients on
+    r~ = lift(r, 0) - lift(r, 1) for the base reps r) there, and ``express``
+    gives the coordinates of a cycle on a basis."""
     import hashlib
     import json
 
-    from qdlab.exact import mat_inverse, nullspace, solve
+    from qdlab.exact import nullspace, solve
 
     c = cover.cover_surface
     reps = sorted({min(e, c.glue[e]) for e in c.edges()})
@@ -306,99 +377,131 @@ def _oracle(h, cover):
             out.append([(a - b) / 2 for a, b in zip(cyc, iota(cyc))])
         return io, out
 
+    base = cover.base
+    base_reps = [e for e in base.edges() if e < base.glue[e]]
+
+    def lift(base_chain):
+        out = [Fraction(0)] * nr
+        for r, x in zip(base_reps, base_chain):
+            for sheet, sheet_sign in ((0, 1), (1, -1)):
+                i, sg = chain(cover.lift_edge(r, sheet))
+                out[i] += sheet_sign * sg * x
+        return out
+
     o = {"abs_basis": basis_of(d1), "rel_basis": basis_of(d1_rel)}
     o["iota_abs"], o["abs_minus_basis"] = minus(o["abs_basis"])
     o["iota_rel"], o["rel_minus_basis"] = minus(o["rel_basis"])
-    o["comparison"] = [express(o["rel_minus_basis"], z)
-                       for z in o["abs_minus_basis"]]
-    m = len(o["abs_minus_basis"])
-    duals = [h.anti_invariant_cochain(o["abs_minus_basis"],
-                                      [Fraction(int(i == j)) for j in range(m)])
-             for i in range(m)]
-    G = [[subdivision_cup(h, a, b) for b in duals] for a in duals]
-    o["J"] = [[-x for x in row] for row in mat_inverse(G)] if m else []
-    o["Jinv"] = [[-x for x in row] for row in G]
-    base = cover.base
     payload = {
         "triangles": [list(t) for t in base.triangles],
         "gluings": sorted((min(e, f), max(e, f), base.sign[e])
                           for e, f in base.glue.items()),
         "marked": sorted(base.marked),
-        "sigma_ub": sorted(ub),
+        "sigma_ub": sorted(cover.classification.sigma_ub),
         "mode": base.mode,
     }
-    o["basis_tag"] = "hom1-" + hashlib.sha1(
+    o["basis_tag"] = "hom2-" + hashlib.sha1(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-    o["d1"], o["d1_rel"] = d1, d1_rel
+    o.update(d1=d1, d1_rel=d1_rel, reps=reps, base_reps=base_reps, chain=chain,
+             iota=iota, express=express, lift=lift)
     return o
 
 
-@pytest.mark.parametrize("name", bundled_names())
+def _oracle_jinv(cover, o):
+    """-G for G the cup matrix of the cochains dual to the oracle's absolute
+    minus basis: closed anti-invariant cochains solved on the cover's edge
+    reps and paired by :func:`subdivision_cup`."""
+    from qdlab.exact import solve
+
+    c = cover.cover_surface
+    chain, reps = o["chain"], o["reps"]
+    nr = len(reps)
+    rows = []
+    for tri in c.triangles:
+        row = [Fraction(0)] * nr
+        for e in tri:
+            i, sg = chain(e)
+            row[i] += sg
+        rows.append(row)
+    for i, r in enumerate(reps):
+        # alpha(iota rep_i) = -alpha(rep_i)
+        j, sg = chain(cover.involution_edge(r))
+        row = [Fraction(0)] * nr
+        row[i] += 1
+        row[j] += sg
+        rows.append(row)
+    basis = o["abs_minus_basis"]
+    m = len(basis)
+    duals = []
+    for k in range(m):
+        a = solve(rows + basis, [Fraction(0)] * len(rows)
+                  + [Fraction(int(j == k)) for j in range(m)])
+        duals.append({f: chain(f)[1] * a[chain(f)[0]] for f in c.edges()})
+    return [[-subdivision_cup(c, a, b) for b in duals] for a in duals]
+
+
+@pytest.mark.parametrize("name", [*bundled_names(), *EXTRA_SURFACES])
 @pytest.mark.parametrize("flip_seed", [None, 0, 1, 2, 3, 4])
 def test_forest_cotree_kernel_matches_elimination_oracle(name, flip_seed):
-    from qdlab.builders import random_flip_variant
+    # the twisted complex on the base against dense elimination on the whole
+    # cover (the name is that of the kernel this test first checked)
+    from qdlab.exact import mat_inverse, rank
 
-    surf = bundled_surface(name)
-    if flip_seed is not None:
-        rng = random.Random(flip_seed)
-        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
-    cover = build_cover(surf)
+    cover = build_cover(_variant(name, flip_seed))
     h = homology_data(cover)
-    o = _oracle(h, cover)
-    for field in ("abs_basis", "rel_basis", "iota_abs", "iota_rel",
-                  "abs_minus_basis", "rel_minus_basis", "comparison", "J",
-                  "Jinv"):
-        got = getattr(h, field)
-        assert got == o[field], field
-        assert all(type(x) is Fraction for row in got for x in row), field
+    o = _oracle(cover)
+    assert [h.rank_abs(), h.rank_rel(), h.rank_abs_minus(), h.rank_rel_minus()] \
+        == [len(o[k]) for k in ("abs_basis", "rel_basis", "abs_minus_basis",
+                                "rel_minus_basis")]
+    assert h.reps == o["base_reps"]
     assert h.basis_tag == o["basis_tag"]
-    # a single edge with distinct end nodes is not a (relative) cycle
-    for h1, d in ((h._abs_h1, o["d1"]), (h._rel_h1, o["d1_rel"])):
-        for i in range(len(h.reps)):
-            if any(row[i] for row in d):
-                chain = [Fraction(int(j == i)) for j in range(len(h.reps))]
-                with pytest.raises(InconsistentFunctional):
-                    h1.coords(chain)
+    for field in ("abs_minus_basis", "rel_minus_basis", "comparison", "J", "Jinv"):
+        assert all(type(x) is Fraction for row in getattr(h, field) for x in row), field
+    lifted = {}
+    for space, d in (("abs", o["d1"]), ("rel", o["d1_rel"])):
+        lifted[space] = [o["lift"](z) for z in getattr(h, space + "_minus_basis")]
+        for z in lifted[space]:
+            # an anti-invariant cycle of the cover (relative to Sigma_ub)
+            assert all(sum(a * b for a, b in zip(row, z)) == 0 for row in d)
+            assert o["iota"](z) == [-x for x in z]
+    # P[j]: the oracle coordinates of the lifted absolute cycle j, the
+    # column j of the change of basis; J^{-1}_oracle = P J^{-1} P^T
+    P = [o["express"](o["abs_minus_basis"], z) for z in lifted["abs"]]
+    m = len(P)
+    want = _oracle_jinv(cover, o)
+    assert [[sum(P[i][a] * h.Jinv[i][j] * P[j][b] for i in range(m) for j in range(m))
+             for b in range(m)] for a in range(m)] == want
+    assert mat_inverse(h.Jinv) == h.J
+    # the relative cycles are a basis, and the comparison map holds on the cover
+    Q = [o["express"](o["rel_minus_basis"], z) for z in lifted["rel"]]
+    assert rank(Q) == len(Q) == len(o["rel_minus_basis"])
+    for z, row in zip(lifted["abs"], h.comparison):
+        assert o["express"](o["rel_minus_basis"], z) == [
+            sum((cf * q[k] for cf, q in zip(row, Q)), Fraction(0))
+            for k in range(len(Q))]
 
 
-def _two_square_torus():
-    """1x2 torus of two unit squares with both vertices marked.  Its lifted
-    vertices carry anti-invariant 0-cochains that are not closed, so unlike
-    the bundled surfaces its cochain systems have free pair variables."""
-    from qdlab.builders import _assemble
-
-    return _assemble([0, 6], [(1, 11, 1), (7, 5, 1), (0, 4, 1), (6, 10, 1)],
-                     marked=[0, 1])
-
-
-@pytest.mark.parametrize("name", [*bundled_names(), "two_square_torus"])
+@pytest.mark.parametrize("name", [*bundled_names(), *EXTRA_SURFACES])
 @pytest.mark.parametrize("flip_seed", [None, 0, 1, 2])
 def test_anti_invariant_cochain_normal_form(name, flip_seed):
-    from qdlab.builders import random_flip_variant
     from qdlab.exact import rank
 
-    surf = _two_square_torus() if name == "two_square_torus" else bundled_surface(name)
-    if flip_seed is not None:
-        rng = random.Random(flip_seed)
-        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
-    h = homology_data(build_cover(surf))
+    cover = build_cover(_variant(name, flip_seed))
+    cs = cover.cover_surface
+    h = homology_data(cover)
     nr = len(h.reps)
-    units = [[Fraction(int(j == i)) for j in range(nr)] for i in range(nr)]
-    pairs, _ = h._pair_structure()
-    npair = len(pairs)
     rng = random.Random(f"{name}/{flip_seed}")
     for basis in (h.abs_minus_basis, h.rel_minus_basis):
-        # pair variable k is free, and the cochain must vanish on it, when
-        # e_k is independent of the constraint rows and e_0 .. e_{k-1}
-        rows = [h._cochain_row(r) for r in h._boundaries + basis]
+        # unknown k is free, and the cochain must vanish on it, when e_k is
+        # independent of the constraint rows and e_0 .. e_{k-1}
+        rows = h._boundaries + basis
         free = []
         span = rank(rows)
-        for k in range(npair):
-            rows = rows + [[Fraction(int(j == k)) for j in range(npair)]]
+        for k in range(nr):
+            rows = rows + [[Fraction(int(j == k)) for j in range(nr)]]
             if rank(rows) > span:
                 free.append(k)
                 span += 1
-        assert span == npair
+        assert span == nr
         if name == "two_square_torus" and basis is h.abs_minus_basis:
             assert free
         for _ in range(3):
@@ -407,13 +510,33 @@ def test_anti_invariant_cochain_normal_form(name, flip_seed):
                       for _ in basis]
             w = h.anti_invariant_cochain(basis, values)
             assert all(evaluate_cochain(w, bd) == 0 for bd in h._boundaries)
-            assert all(evaluate_cochain(w, h.iota_chain(u)) == -w[i]
-                       for i, u in enumerate(units))
             assert [evaluate_cochain(w, z) for z in basis] == values
-            assert all(w[pairs[k]] == 0 for k in free)
+            assert all(w[k] == 0 for k in free)
+            # on the cover: well defined across every glued edge, closed on
+            # every triangle, anti-invariant
+            up = lift_cochain(cover, h, w)
+            for f in cs.edges():
+                assert up[cs.glue[f]] == -up[f]
+                assert up[cover.involution_edge(f)] == -up[f]
+            assert all(up[a] + up[b] + up[c] == 0 for a, b, c in cs.triangles)
     z = h.abs_minus_basis[0]
     with pytest.raises(InconsistentFunctional):
         h.anti_invariant_cochain([z, z], [QC(1), QC(2)])
+
+
+def test_cycle_basis_keeps_non_integral_cycles_over_their_denominators():
+    # on the test surfaces every twisted cycle is integral; a d1 entry 2 (a
+    # loop whose ends lie on different sheets) gives the nullspace vector
+    # (-1/2, 1, 0), kept as ((-1, 2, 0), 2), and the coordinates of a
+    # carried cycle are read off the integer columns and rescaled
+    from qdlab.homology import _cycle_basis
+
+    basis, coords = _cycle_basis([], [[2, 1, 0]], 3, [([-3, 6, 10], 2)])
+    assert basis == [([-1, 2, 0], 2), ([0, 0, 1], 1)]
+    assert coords == [[3, 5]]
+    # modulo a boundary, the first cycle is dropped and the coordinates follow
+    basis, coords = _cycle_basis([[-1, 2, 0]], [[2, 1, 0]], 3, [([-3, 6, 10], 2)])
+    assert basis == [([0, 0, 1], 1)] and coords == [[5]]
 
 
 def test_homology_built_once_per_surface():
@@ -470,16 +593,11 @@ def test_wrong_length_vector_raises_basis_mismatch(space, delta):
             lift_to_cochain(h, bad)
 
 
-@pytest.mark.parametrize("name", [*bundled_names(), "two_square_torus"])
+@pytest.mark.parametrize("name", [*bundled_names(), *EXTRA_SURFACES])
 @pytest.mark.parametrize("flip_seed", [None, 0, 1])
 def test_closed_form_cup_matches_subdivision(name, flip_seed):
-    from qdlab.builders import random_flip_variant
-
-    surf = _two_square_torus() if name == "two_square_torus" else bundled_surface(name)
-    if flip_seed is not None:
-        rng = random.Random(flip_seed)
-        surf = random_flip_variant(surf, rng, rng.randint(1, 5))
-    h = homology_data(build_cover(surf))
+    cover = build_cover(_variant(name, flip_seed))
+    h = homology_data(cover)
     m = len(h.abs_minus_basis)
     cochains = [h.cocycle_functional([Fraction(int(i == j)) for j in range(m)])
                 for i in range(m)]
@@ -487,18 +605,22 @@ def test_closed_form_cup_matches_subdivision(name, flip_seed):
     for space in ("absolute", "relative", "relative"):
         cochains.append(h.cocycle_functional(
             list(_rand_vec(h, rng, space).coords), space=space))
-    for a in cochains:
-        for b in cochains:
-            assert h.cup_product_pairing(a, b) == subdivision_cup(h, a, b)
+    ups = [lift_cochain(cover, h, a) for a in cochains]
+    for a, a_up in zip(cochains, ups):
+        for b, b_up in zip(cochains, ups):
+            assert h.cup_product_pairing(a, b) == subdivision_cup(
+                cover.cover_surface, a_up, b_up)
 
 
 def test_closed_form_cup_differs_on_a_cochain_that_is_not_closed():
-    h = homology_data(build_cover(bundled_surface("genus2_generic")))
+    cover = build_cover(bundled_surface("genus2_generic"))
+    h = homology_data(cover)
     m = len(h.abs_minus_basis)
     closed = h.cocycle_functional([Fraction(int(j == 0)) for j in range(m)])
-    bump = {i: Fraction(int(i == 0)) for i in range(len(h.reps))}
+    bump = [Fraction(int(i == 0)) for i in range(len(h.reps))]
     assert any(evaluate_cochain(bump, bd) for bd in h._boundaries)
-    assert h.cup_product_pairing(bump, closed) != subdivision_cup(h, bump, closed)
+    assert h.cup_product_pairing(bump, closed) != subdivision_cup(
+        cover.cover_surface, lift_cochain(cover, h, bump), lift_cochain(cover, h, closed))
 
 
 def test_cochain_maps_are_built_once_per_homology(monkeypatch):
@@ -512,18 +634,19 @@ def test_cochain_maps_are_built_once_per_homology(monkeypatch):
     s = random_flip_variant(bundled_surface("marked_torus"), random.Random(8), 3)
     c = build_cover(s)
     h = homology_data(c)
-    # the comparison map and the absolute-minus cochain map; no relative map
-    assert len(calls) == 2
+    # the absolute and the relative basis (the second elimination also gives
+    # the comparison map) and the absolute-minus cochain map; no relative map
+    assert len(calls) == 3
     u = period_map(c, h)
     lift_to_cochain(h, u)
-    assert len(calls) == 3
+    assert len(calls) == 4
     rng = random.Random(9)
     for _ in range(3):
         lift_to_cochain(h, _rand_vec(h, rng, "relative"))
         h.cocycle_functional(_rand_vec(h, rng, "relative").coords, space="relative")
         h.cocycle_functional(_rand_vec(h, rng).coords)
         wedge_cup_oracle(h, _rand_vec(h, rng), _rand_vec(h, rng, "relative"))
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_basis_tag_loads_no_openssl():
@@ -563,7 +686,7 @@ def test_basis_tag_is_the_sha1_of_its_payload(monkeypatch, name):
     blobs, sha1 = [], H.sha1
     monkeypatch.setattr(H, "sha1", lambda blob: blobs.append(blob) or sha1(blob))
     assert homology_data(c)._make_tag(c.base) == tag
-    assert tag == "hom1-" + hashlib.sha1(blobs[0]).hexdigest()[:16]
+    assert tag == "hom2-" + hashlib.sha1(blobs[0]).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -588,22 +711,18 @@ def _oracle_wedge(h, x, y):
 
 
 def _oracle_thurston(h, x, y):
-    """thurston_pairing's two routes on _oracle_wedge; None where they
-    disagree (the function raises there)."""
+    """thurston_pairing's two routes on _oracle_wedge for exact x and y; None
+    where they disagree (the function raises there).  A Fraction, also when
+    a wedge is the Fraction 0 of a pairing with no nonzero term."""
     rx = PeriodVector(tuple((z + z.conjugate()) / 2 for z in x.coords),
                       x.basis_tag, x.space)
     ry = PeriodVector(tuple((z + z.conjugate()) / 2 for z in y.coords),
                       y.basis_tag, y.space)
     route1 = _oracle_wedge(h, rx, ry) / 8
     wxy_bar = _oracle_wedge(h, x, y.conjugate())
-    if isinstance(wxy_bar, QC):
-        r1 = route1.re if isinstance(route1, QC) else Fraction(route1)
-        if isinstance(route1, QC) and route1.im != 0 or r1 != wxy_bar.re / 16:
-            return None
-        return r1
-    r1 = complex(route1).real
-    return r1 if abs(r1 - complex(wxy_bar).real / 16) <= 1e-9 * max(1.0, abs(r1)) \
-        else None
+    r1, i1 = (route1.re, route1.im) if isinstance(route1, QC) else (route1, 0)
+    r2 = wxy_bar.re if isinstance(wxy_bar, QC) else wxy_bar
+    return None if i1 or r1 != r2 / 16 else r1
 
 
 def _sparse_vec(h, rng, space, support):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdlab.builders import bundled_surface
+from qdlab.builders import bundled_names, bundled_surface
 from qdlab.cover import build_cover
 from qdlab.deformation import DeformationFamily
 from qdlab.errors import InconsistentFunctional, NegativeNorm
@@ -482,3 +482,30 @@ class TestScenarioFromHomology:
         z = u.zero_like()
         with pytest.raises(NegativeNorm):
             _scenario_from_homology(h, z, u, u)
+
+
+def test_thurston_pairing_of_exact_vectors_is_a_fraction():
+    # zero and sparse exact pairs, whose wedges may have no nonzero term,
+    # give a Fraction like dense ones; float vectors give a float
+    for name in bundled_names():
+        c = build_cover(bundled_surface(name))
+        h = homology_data(c)
+        u = period_map(c, h)
+        n = h.rank_abs_minus()
+        rng = random.Random(f"thurston-type/{name}")
+        units = [PeriodVector(tuple(QC(rng.randint(1, 5), rng.randint(-2, 2))
+                                    if k == j else QC(0, 0) for k in range(n)),
+                              h.basis_tag, "absolute") for j in range(n)]
+        pairs = [(u, u.zero_like()), (u.zero_like(), u), (u, u)]
+        pairs += [(x, y) for x in units for y in units + [x.zero_like()]]
+        exact = 0
+        for x, y in pairs:
+            try:
+                t = thurston_pairing(h, x, y)
+            except InconsistentFunctional:
+                continue
+            assert type(t) is Fraction, (name, x, y)
+            exact += 1
+        assert exact >= 3 + 2 * n
+        f = u.to_float()
+        assert type(thurston_pairing(h, f, f.zero_like())) is float

@@ -54,11 +54,14 @@ def test_cochain_consistent_with_period_map():
     h = homology_data(c)
     u = period_map(c, h)
     cochain = chain_period_cochain(c)
+    # a basis cycle lifted to the cover: coefficient c_r on lift(r, 0) and
+    # -c_r on lift(r, 1)
     for j, cyc in enumerate(h.rel_minus_basis):
         total = QC(0, 0)
-        for i, coef in enumerate(cyc):
+        for r, coef in zip(h.reps, cyc):
             if coef:
-                total = total + cochain[h.reps[i]] * coef
+                total = total + (cochain[c.lift_edge(r, 0)]
+                                 - cochain[c.lift_edge(r, 1)]) * coef
         assert total == u.coords[j]
 
 
@@ -221,10 +224,14 @@ def test_period_map_of_an_exact_cover_leaves_its_qc_table_unbuilt():
         for s in (base, base.scaled(Fraction(5, 6)), random_flip_variant(base, rng, 3)):
             c = build_cover(s)
             h = homology_data(c)
+            built = s._vec is not None
             u = period_map(c, h)
-            assert c.cover_surface._vec is None
-            # the QC formula period_map replaced
+            # period_map reads the base numerators and builds no QC table
+            assert c.cover_surface._vec is None and (s._vec is not None) == built
+            # the periods of the basis cycles lifted to the cover, from its
+            # QC table
             vec = c.cover_surface.vec
-            want = tuple(sum((vec[h.reps[i]] * coef for i, coef in enumerate(cyc)
-                              if coef), QC(0, 0)) for cyc in h.rel_minus_basis)
+            want = tuple(sum(((vec[c.lift_edge(r, 0)] - vec[c.lift_edge(r, 1)]) * coef
+                              for r, coef in zip(h.reps, cyc) if coef), QC(0, 0))
+                         for cyc in h.rel_minus_basis)
             assert u.coords == want and repr(u) == _oracle_repr(want, u)

@@ -3,7 +3,7 @@
 import pytest
 
 from qdlab.errors import MismatchedType
-from qdlab.strata import SymbolPoset, degenerates_to, enumerate_symbols
+from qdlab.strata import SymbolPoset, degenerates_to, enumerate_symbols, realizable
 from qdlab.surface import make_symbol, stratum_dim
 
 
@@ -65,9 +65,12 @@ class TestDegeneration:
         assert not degenerates_to(a, a, 2, 0)
 
     def test_multi_step_reachability(self):
+        # two disjoint pairs of zeros merge in two collisions, through
+        # Q(2,1,1); Q(4) is no target, its stratum is empty
         top = make_symbol(0, 0, {1: 4}, -1)
-        deep = make_symbol(0, 0, {4: 1}, -1)
+        deep = make_symbol(0, 0, {2: 2}, -1)
         assert degenerates_to(top, deep, 2, 0)
+        assert not degenerates_to(top, make_symbol(0, 0, {4: 1}, -1), 2, 0)
 
     def test_epsilon_flip_needs_dimension_drop(self):
         # collapsing all four simple zeros onto the square locus is fine
@@ -84,9 +87,12 @@ class TestDegeneration:
     def test_pole_and_zero_merge_to_torus(self):
         a = make_symbol(0, 1, {1: 1}, -1)
         b = make_symbol(1, 0, {}, 1)
-        # equal dimensions: the move is not admissible
+        # Q(1,-1) is empty in genus 1, so it degenerates to nothing; the
+        # move would also not drop the dimension
+        assert not realizable(a, 1) and realizable(b, 1)
         assert stratum_dim(a, 1) == stratum_dim(b, 1)
         assert not degenerates_to(a, b, 1, 1)
+        assert not degenerates_to(b, a, 1, 1)
 
     def test_mismatched_genus_raises(self):
         a = make_symbol(0, 0, {1: 4}, -1)
@@ -118,9 +124,9 @@ class TestPoset:
         assert p.maxima() == [make_symbol(0, 4, {}, -1)]
 
     def test_1_1(self):
+        # Q(1,-1) is enumerated but empty (Masur-Smillie 1993)
         p = SymbolPoset(1, 1)
-        assert set(p.nodes) == {make_symbol(1, 0, {}, 1),
-                                make_symbol(0, 1, {1: 1}, -1)}
+        assert p.nodes == [make_symbol(1, 0, {}, 1)]
         assert p.edges == []
 
     def test_2_0_strictly_decreasing(self):
@@ -144,3 +150,37 @@ class TestPoset:
         dot = p.to_dot()
         assert dot.startswith("digraph")
         assert "dim 2" in dot
+
+
+class TestRealizable:
+    EMPTY = [(1, make_symbol(0, 1, {1: 1}, -1)),     # Q(1,-1)
+             (1, make_symbol(1, 1, {1: 1}, -1)),     # with a free marked point
+             (1, make_symbol(1, 0, {}, -1)),         # Q(0), not a square
+             (2, make_symbol(0, 0, {4: 1}, -1)),     # Q(4)
+             (2, make_symbol(0, 0, {3: 1, 1: 1}, -1)),   # Q(3,1)
+             (2, make_symbol(1, 0, {4: 1}, -1)),
+             (2, make_symbol(2, 0, {3: 1, 1: 1}, -1))]
+
+    def test_masur_smillie_strata_are_empty(self):
+        for g, sym in self.EMPTY:
+            assert not realizable(sym, g), str(sym)
+
+    def test_other_strata_are_realizable(self):
+        assert realizable(make_symbol(0, 0, {4: 1}, 1), 2)          # H(2)
+        assert realizable(make_symbol(0, 0, {2: 2}, 1), 2)          # H(1,1)
+        assert realizable(make_symbol(1, 0, {}, 1), 1)              # H(0)
+        assert realizable(make_symbol(0, 2, {1: 2}, -1), 1)         # Q(1,1,-1,-1)
+        assert realizable(make_symbol(0, 0, {2: 1, 1: 2}, -1), 2)
+        assert realizable(make_symbol(0, 1, {5: 1}, -1), 2)         # Q(5,-1)
+        assert all(realizable(s, 0) for m in (4, 5, 6) for s in enumerate_symbols(0, m))
+
+    @pytest.mark.parametrize("g,m", [(1, 1), (1, 2), (2, 0), (2, 1)])
+    def test_poset_keeps_exactly_the_realizable_symbols(self, g, m):
+        p = SymbolPoset(g, m)
+        syms = enumerate_symbols(g, m)
+        assert p.nodes == [s for s in syms if realizable(s, g)]
+        assert len(p.nodes) < len(syms)
+        for a in syms:
+            for b in syms:
+                if not (realizable(a, g) and realizable(b, g)):
+                    assert not degenerates_to(a, b, g, m)
